@@ -4,6 +4,7 @@ Every test prints "ACCEPTANCE <n> <name>: PASS|FAIL" on the live terminal
 (bypassing capture) before asserting, so the gate summary is always visible
 in a plain pytest run.
 """
+import hashlib
 import json
 import time
 from itertools import product
@@ -22,6 +23,8 @@ from limpack.corpus import (enumerate_labeled_graphs, parse_corpus_spec,
 CAMPAIGN_ARGV = ["verify", "--theorems", "all",
                  "--corpus", "all_labeled(6)+trees(≤9)+random_connected(n=8..12,1000,seed=42)",
                  "--k", "1..3"]
+# SHA-256 of the reference campaign report; any change to it must be deliberate
+REPORT_SHA256 = "548e58d17a980a04985ae09e43dabfb37b2c03a8833cc3ca9057a2e42a902df2"
 
 
 def verdict(capsys, num, name, ok, detail=""):
@@ -259,5 +262,6 @@ def test_criterion_9_reproducible_reports(capsys, campaign_run, tmp_path):
     second_path = tmp_path / "report2.json"
     rc = cli_main(CAMPAIGN_ARGV + ["--json", str(second_path)])
     same = first_path.read_bytes() == second_path.read_bytes()
-    verdict(capsys, 9, "reproducible-reports", rc == 0 and same,
-            f"rc={rc} identical={same}")
+    digest = hashlib.sha256(first_path.read_bytes()).hexdigest()
+    verdict(capsys, 9, "reproducible-reports", rc == 0 and same and digest == REPORT_SHA256,
+            f"rc={rc} identical={same} sha256={digest}")
