@@ -1,15 +1,20 @@
 """Closed formulas and hypothesis-gated bounds for the k-limited packing number.
 
-Every bound is emitted as a BoundEntry whose hypothesis was actually checked
-against the graph profile; entries whose hypothesis fails (or whose auxiliary
-exact values were not supplied) carry applicable=False and no value.  Bounds
-derived from gamma, L_1, or rho0 never recompute those parameters: callers
-pass them in through AuxValues.
+Each bound is one Bound row of the BOUNDS table: its hypothesis, its value as
+a rational, and the statement it belongs to.  bound_report lists the rows as
+BoundEntry records whose hypothesis was actually checked against the graph
+profile; entries whose hypothesis fails (or whose auxiliary exact values were
+not supplied) carry applicable=False and no value.  The campaign derives its
+evaluators for the same statements from the same rows.  Bounds derived from
+gamma, L_1, or rho0 never recompute those parameters: callers pass them in
+through AuxValues.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 from .graphs import Graph, GraphProfile, complement, emit_graph6, profile
 from . import solvers
@@ -45,12 +50,6 @@ class AuxValues:
     rho0: int | None = None
 
 
-def _entry(id: str, direction: str, hypothesis: str, citation: str,
-           applicable: bool, value: int | None = None, raw: str | None = None) -> BoundEntry:
-    return BoundEntry(id, direction, value if applicable else None, applicable,
-                      hypothesis, citation, raw if applicable else None)
-
-
 # ---------------------------------------------------------------------------
 # closed formulas
 
@@ -83,155 +82,157 @@ def closed_form(family: str, params, k: int) -> int:
     raise ValueError(f"no closed formula for family {family!r}")
 
 
+# ---------------------------------------------------------------------------
+# the bound table, shared by the bound panel and the campaign
+
+@dataclass(frozen=True)
+class Bound:
+    """One hypothesis-gated bound on L_k.
+
+    applies, num and den take (n, p, k, aux): the order, the GraphProfile, k,
+    and an object whose gamma, l1 and rho0 attributes give the exact companion
+    parameters (None when unknown; the campaign's GraphFacts solves them on
+    first read).  The value is num/den rounded inward, up for lower bounds and
+    down for upper ones; den=None marks an integral bound, and only fractional
+    bounds show their raw rational.  tie is the campaign's positive case:
+    "value" (L_k equals the value), "raw" (L_k equals num/den), or "any"
+    (every substantive check).
+    """
+    id: str
+    direction: str          # "lower" | "upper" | "exact"
+    hypothesis: str
+    citation: str           # theorem-registry id of the statement it belongs to
+    applies: Callable
+    num: Callable
+    den: Callable | None = None
+    tie: str = "value"
+    ks: range = range(1, sys.maxsize)   # the k it covers; the panel lists it only there
+
+    def value(self, n: int, p: GraphProfile, k: int, aux) -> tuple[int, int, int]:
+        """(value, num, den): the bound once its hypothesis holds."""
+        num = self.num(n, p, k, aux)
+        den = 1 if self.den is None else self.den(n, p, k, aux)
+        return (-(-num // den) if self.direction == "lower" else num // den), num, den
+
+    def entry(self, n: int, p: GraphProfile, k: int, aux) -> BoundEntry:
+        if not self.applies(n, p, k, aux):
+            return BoundEntry(self.id, self.direction, None, False, self.hypothesis, self.citation)
+        value, num, den = self.value(n, p, k, aux)
+        return BoundEntry(self.id, self.direction, value, True, self.hypothesis,
+                          self.citation, None if self.den is None else f"{num}/{den}")
+
+
+def connected(n: int, p: GraphProfile) -> bool:
+    """Connected and nonempty.  profile() counts K_0 as connected with
+    diameter 0, but no statement about connected graphs covers it."""
+    return n >= 1 and p.connected
+
+
+def _has_girth(n, p, k, a):
+    return p.girth is not None
+
+
+_LOWER = (
+    Bound("exact-order-le-k", "exact", "n <= k", "prop-small-order",
+          lambda n, p, k, a: n <= k, lambda n, p, k, a: n),
+    Bound("exact-order-k-plus-1", "exact", "n == k+1", "prop-order-kplus1",
+          lambda n, p, k, a: n == k + 1,
+          lambda n, p, k, a: k if p.max_degree == k else k + 1),
+    Bound("order-lower", "lower", "n >= k+2", "prop-lk-geq-k",
+          lambda n, p, k, a: n >= k + 2, lambda n, p, k, a: k),
+    Bound("diam-lower", "lower", "connected and k in {1,2}", "lem-diam-lower-k12",
+          lambda n, p, k, a: k <= 2 and connected(n, p),
+          lambda n, p, k, a: -(-(k + k * p.diameter) // 3)),
+    Bound("diam-lower-k3", "lower", "connected and max_degree >= k >= 3", "th-diam-lower-k3",
+          lambda n, p, k, a: k >= 3 and p.max_degree >= k and connected(n, p),
+          lambda n, p, k, a: p.diameter + k - 2),
+    Bound("girth-lower", "lower", "girth finite and k == 1", "th-girth-l1",
+          _has_girth, lambda n, p, k, a: p.girth // 3, ks=range(1, 2)),
+    Bound("girth-lower", "lower", "girth finite and k == 2", "th-girth-l2-lk",
+          _has_girth, lambda n, p, k, a: 2 * p.girth // 3, ks=range(2, 3)),
+    Bound("girth-lower", "lower", "girth finite and max_degree >= k >= 3", "th-girth-l2-lk",
+          lambda n, p, k, a: p.girth is not None and p.max_degree >= k,
+          lambda n, p, k, a: p.girth + k - 3, ks=range(3, sys.maxsize)),
+    Bound("maxdeg-sq-lower", "lower", "k == 1", "lem-l1-maxdeg-lower",
+          lambda n, p, k, a: n >= 1, lambda n, p, k, a: n,
+          lambda n, p, k, a: p.max_degree ** 2 + 1, ks=range(1, 2)),
+    Bound("chain-lower", "lower", "k >= 2 and max_degree >= k-1, needs exact L_1",
+          "lem-monotone-chain",
+          lambda n, p, k, a: k >= 2 and p.max_degree >= k - 1 and a.l1 is not None,
+          lambda n, p, k, a: a.l1 + k - 1),
+    Bound("openpack-half-lower", "lower", "k == 1, needs exact rho0", "lem-openpack-sandwich",
+          lambda n, p, k, a: k == 1 and a.rho0 is not None,
+          lambda n, p, k, a: a.rho0, lambda *_: 2, tie="raw"),
+    Bound("openpack-lower", "lower", "tree and k == 2, needs exact rho0",
+          "th-classT-characterization",
+          lambda n, p, k, a: k == 2 and p.is_tree and a.rho0 is not None,
+          lambda n, p, k, a: a.rho0),
+)
+
+_UPPER = (
+    Bound("kgamma-upper", "upper", "needs exact gamma", "lem-kgamma",
+          lambda n, p, k, a: a.gamma is not None, lambda n, p, k, a: k * a.gamma),
+    Bound("mindeg-ratio-upper", "upper", "always", "lem-delta-upper",
+          lambda n, p, k, a: n >= 1, lambda n, p, k, a: k * n,
+          lambda n, p, k, a: p.min_degree + 1, tie="raw"),
+    Bound("order-degree-upper", "upper", "always", "th-order-degree-upper",
+          lambda n, p, k, a: n >= 1, lambda n, p, k, a: n + k - 1 - p.max_degree),
+    Bound("improved-diam-upper", "upper", "connected and k == 2", "th-improved-diam-upper",
+          lambda n, p, k, a: k == 2 and connected(n, p),
+          lambda n, p, k, a: n + 1 - p.max_degree - (p.diameter - 4) // 3),
+    Bound("four-fifths-upper", "upper", "connected, n >= 3, k == 2", "lem-45-upper",
+          lambda n, p, k, a: k == 2 and n >= 3 and connected(n, p),
+          lambda n, p, k, a: 4 * n, lambda *_: 5, tie="raw"),
+    Bound("deg-ratio-upper", "upper", "connected and min_degree >= k", "lem-kk1-upper",
+          lambda n, p, k, a: p.min_degree >= k and connected(n, p),
+          lambda n, p, k, a: k * n, lambda n, p, k, a: k + 1, tie="raw"),
+    Bound("tree-nonleaf-upper", "upper",
+          "tree with every internal vertex of degree >= 4, k == 2", "th-tree-deltaprime",
+          lambda n, p, k, a: k == 2 and p.is_tree and p.min_nonleaf_degree is not None
+          and p.min_nonleaf_degree >= 4,
+          lambda n, p, k, a: 2 * n, lambda *_: 3, tie="any"),
+    Bound("l1-ratio-upper", "upper", "k == 2 and graph has an edge, needs exact L_1",
+          "prop-l1-l2-sandwich",
+          lambda n, p, k, a: k == 2 and p.max_degree >= 1 and a.l1 is not None,
+          lambda n, p, k, a: 2 * (p.max_degree ** 2 + 1) * a.l1,
+          lambda n, p, k, a: p.min_degree + 1),
+    Bound("openpack-upper", "upper", "k == 1, needs exact rho0", "lem-openpack-sandwich",
+          lambda n, p, k, a: k == 1 and a.rho0 is not None, lambda n, p, k, a: a.rho0),
+    Bound("double-openpack-upper", "upper", "tree and k == 2, needs exact rho0",
+          "th-classT-characterization",
+          lambda n, p, k, a: k == 2 and p.is_tree and a.rho0 is not None,
+          lambda n, p, k, a: 2 * a.rho0),
+    Bound("universal-vertex-exact", "exact", "k == 2, n >= 2, max_degree == n-1",
+          "lem-maxdeg-n1",
+          lambda n, p, k, a: k == 2 and n >= 2 and p.max_degree == n - 1, lambda *_: 2),
+    Bound("cutvertex-diam2-exact", "exact", "k == 2, diameter 2, has a cut vertex",
+          "lem-cutvertex-diam2",
+          lambda n, p, k, a: k == 2 and p.diameter == 2 and p.cut_vertices != 0,
+          lambda *_: 2),
+)
+
+# panel order: the lower half by id, then the upper half by id
+BOUNDS: tuple[Bound, ...] = (tuple(sorted(_LOWER, key=lambda b: b.id))
+                             + tuple(sorted(_UPPER, key=lambda b: b.id)))
+
+
+def bounds_for(citation: str) -> tuple[Bound, ...]:
+    """The table rows backing one registry statement, in panel order."""
+    return tuple(b for b in BOUNDS if b.citation == citation)
+
+
+(_ORDER_DEGREE,) = bounds_for("th-order-degree-upper")
+
+
 def small_order_value(g: Graph, k: int) -> int | None:
     """Exact L_k for graphs of order at most k+1; None when the order is larger."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n = g.n
-    if n <= k:
-        return n
-    if n == k + 1:
-        max_deg = max(g.degrees(), default=0)
-        return k if max_deg == k else k + 1
+    p = profile(g)
+    for b in bounds_for("prop-small-order") + bounds_for("prop-order-kplus1"):
+        if b.applies(g.n, p, k, None):
+            return b.value(g.n, p, k, None)[0]
     return None
-
-
-# ---------------------------------------------------------------------------
-# bound entries
-
-def lower_bounds(g: Graph, k: int, p: GraphProfile, aux: AuxValues | None = None) -> list[BoundEntry]:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    aux = aux or AuxValues()
-    n = g.n
-    dmax = p.max_degree
-    out = []
-
-    out.append(_entry(
-        "exact-order-le-k", "exact", "n <= k", "prop-small-order",
-        applicable=n <= k, value=n))
-    kp1 = n == k + 1
-    out.append(_entry(
-        "exact-order-k-plus-1", "exact", "n == k+1", "prop-order-kplus1",
-        applicable=kp1, value=(k if dmax == k else k + 1) if kp1 else None))
-    out.append(_entry(
-        "order-lower", "lower", "n >= k+2", "prop-lk-geq-k",
-        applicable=n >= k + 2, value=k))
-
-    diam_ok = p.connected and p.diameter is not None
-    out.append(_entry(
-        "diam-lower", "lower", "connected and k in {1,2}", "lem-diam-lower-k12",
-        applicable=diam_ok and k in (1, 2),
-        value=-(-(k + k * p.diameter) // 3) if diam_ok else None))
-    out.append(_entry(
-        "diam-lower-k3", "lower", "connected and max_degree >= k >= 3", "th-diam-lower-k3",
-        applicable=diam_ok and k >= 3 and dmax >= k,
-        value=(p.diameter + k - 2) if diam_ok else None))
-
-    girth = p.girth
-    if k == 1:
-        g_ok, g_val, g_cite = girth is not None, (girth or 0) // 3, "th-girth-l1"
-        g_hyp = "girth finite and k == 1"
-    elif k == 2:
-        g_ok, g_val, g_cite = girth is not None, 2 * (girth or 0) // 3, "th-girth-l2-lk"
-        g_hyp = "girth finite and k == 2"
-    else:
-        g_ok, g_val, g_cite = girth is not None and dmax >= k, (girth or 0) + k - 3, "th-girth-l2-lk"
-        g_hyp = "girth finite and max_degree >= k >= 3"
-    out.append(_entry("girth-lower", "lower", g_hyp, g_cite, applicable=g_ok, value=g_val))
-
-    if k == 1:
-        denom = dmax * dmax + 1
-        out.append(_entry(
-            "maxdeg-sq-lower", "lower", "k == 1", "lem-l1-maxdeg-lower",
-            applicable=n >= 1, value=-(-n // denom), raw=f"{n}/{denom}"))
-
-    out.append(_entry(
-        "chain-lower", "lower", "k >= 2 and max_degree >= k-1, needs exact L_1",
-        "lem-monotone-chain",
-        applicable=k >= 2 and dmax >= k - 1 and aux.l1 is not None,
-        value=(aux.l1 + k - 1) if aux.l1 is not None else None))
-
-    out.append(_entry(
-        "openpack-half-lower", "lower", "k == 1, needs exact rho0", "lem-openpack-sandwich",
-        applicable=k == 1 and aux.rho0 is not None,
-        value=-(-(aux.rho0 or 0) // 2) if aux.rho0 is not None else None,
-        raw=f"{aux.rho0}/2" if aux.rho0 is not None else None))
-    out.append(_entry(
-        "openpack-lower", "lower", "tree and k == 2, needs exact rho0",
-        "th-classT-characterization",
-        applicable=k == 2 and p.is_tree and aux.rho0 is not None,
-        value=aux.rho0))
-
-    out.sort(key=lambda e: e.id)
-    return out
-
-
-def upper_bounds(g: Graph, k: int, p: GraphProfile, aux: AuxValues | None = None) -> list[BoundEntry]:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    aux = aux or AuxValues()
-    n = g.n
-    dmax, dmin = p.max_degree, p.min_degree
-    edge_count = g.edge_count()
-    out = []
-
-    out.append(_entry(
-        "kgamma-upper", "upper", "needs exact gamma", "lem-kgamma",
-        applicable=aux.gamma is not None,
-        value=k * aux.gamma if aux.gamma is not None else None))
-    out.append(_entry(
-        "mindeg-ratio-upper", "upper", "always", "lem-delta-upper",
-        applicable=n >= 1, value=k * n // (dmin + 1), raw=f"{k * n}/{dmin + 1}"))
-    out.append(_entry(
-        "order-degree-upper", "upper", "always", "th-order-degree-upper",
-        applicable=n >= 1, value=n + k - 1 - dmax))
-
-    connected = p.connected
-    out.append(_entry(
-        "improved-diam-upper", "upper", "connected and k == 2", "th-improved-diam-upper",
-        applicable=connected and k == 2 and p.diameter is not None,
-        value=(n + 1 - dmax - (p.diameter - 4) // 3) if p.diameter is not None else None))
-    out.append(_entry(
-        "four-fifths-upper", "upper", "connected, n >= 3, k == 2", "lem-45-upper",
-        applicable=connected and n >= 3 and k == 2,
-        value=4 * n // 5, raw=f"{4 * n}/5"))
-    out.append(_entry(
-        "deg-ratio-upper", "upper", "connected and min_degree >= k", "lem-kk1-upper",
-        applicable=connected and dmin >= k,
-        value=k * n // (k + 1), raw=f"{k * n}/{k + 1}"))
-    out.append(_entry(
-        "tree-nonleaf-upper", "upper",
-        "tree with every internal vertex of degree >= 4, k == 2", "th-tree-deltaprime",
-        applicable=k == 2 and p.is_tree and p.min_nonleaf_degree is not None
-        and p.min_nonleaf_degree >= 4,
-        value=2 * n // 3, raw=f"{2 * n}/3"))
-    out.append(_entry(
-        "l1-ratio-upper", "upper", "k == 2 and graph has an edge, needs exact L_1",
-        "prop-l1-l2-sandwich",
-        applicable=k == 2 and edge_count >= 1 and aux.l1 is not None,
-        value=(2 * (dmax * dmax + 1) * aux.l1) // (dmin + 1) if aux.l1 is not None else None,
-        raw=f"{2 * (dmax * dmax + 1) * aux.l1}/{dmin + 1}" if aux.l1 is not None else None))
-    out.append(_entry(
-        "openpack-upper", "upper", "k == 1, needs exact rho0", "lem-openpack-sandwich",
-        applicable=k == 1 and aux.rho0 is not None, value=aux.rho0))
-    out.append(_entry(
-        "double-openpack-upper", "upper", "tree and k == 2, needs exact rho0",
-        "th-classT-characterization",
-        applicable=k == 2 and p.is_tree and aux.rho0 is not None,
-        value=2 * aux.rho0 if aux.rho0 is not None else None))
-
-    out.append(_entry(
-        "universal-vertex-exact", "exact", "k == 2, n >= 2, max_degree == n-1",
-        "lem-maxdeg-n1",
-        applicable=k == 2 and n >= 2 and dmax == n - 1, value=2))
-    out.append(_entry(
-        "cutvertex-diam2-exact", "exact", "k == 2, diameter 2, has a cut vertex",
-        "lem-cutvertex-diam2",
-        applicable=k == 2 and p.diameter == 2 and p.cut_vertices != 0, value=2))
-
-    out.sort(key=lambda e: e.id)
-    return out
 
 
 @dataclass(frozen=True)
@@ -271,6 +272,8 @@ def bound_report(g: Graph, k: int, with_exact: bool = False) -> BoundReport:
     only attempted within the enumeration guard; otherwise those entries are
     inapplicable.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     p = profile(g)
     aux = AuxValues()
     if g.n <= solvers.ORACLE_LIMIT:
@@ -279,7 +282,7 @@ def bound_report(g: Graph, k: int, with_exact: bool = False) -> BoundReport:
             l1=solvers.limited_packing_number(g, 1).value,
             rho0=solvers.open_packing_number(g).value,
         )
-    entries = tuple(lower_bounds(g, k, p, aux) + upper_bounds(g, k, p, aux))
+    entries = tuple(b.entry(g.n, p, k, aux) for b in BOUNDS if k in b.ks)
     exact = solvers.limited_packing_number(g, k).value if with_exact else None
     return BoundReport(emit_graph6(g), k, g.n, entries, exact)
 
@@ -317,20 +320,23 @@ class NGReport:
         }
 
 
+def ng_upper_bound(n: int, k: int, max_degree: int, min_degree: int) -> tuple[str, int]:
+    """th-ng-upper's case split: (case, bound on L_k(G) + L_k(complement))."""
+    max_degree_bar = max(n - 1 - min_degree, 0)
+    if k >= max(max_degree, max_degree_bar) + 1:
+        return "both-small-delta", 2 * n
+    if k <= min(max_degree, max_degree_bar):
+        return "both-large-delta", n + 2 * k - 2
+    return "mixed", 2 * n - 1
+
+
 def nordhaus_gaddum(g: Graph, k: int, method: str = "auto") -> NGReport:
     """Exact L_k(G) + L_k(complement) with the matching case-split upper bound."""
-    gbar = complement(g)
     val = solvers.limited_packing_number(g, k, method).value
-    val_bar = solvers.limited_packing_number(gbar, k, method).value
+    val_bar = solvers.limited_packing_number(complement(g), k, method).value
     n = g.n
-    dmax = max(g.degrees(), default=0)
-    dmax_bar = max(gbar.degrees(), default=0)
-    if k >= max(dmax, dmax_bar) + 1:
-        case, upper = "both-small-delta", 2 * n
-    elif k <= min(dmax, dmax_bar):
-        case, upper = "both-large-delta", n + 2 * k - 2
-    else:
-        case, upper = "mixed", 2 * n - 1
+    degs = g.degrees()
+    case, upper = ng_upper_bound(n, k, max(degs, default=0), min(degs, default=0))
     return NGReport(
         graph6=emit_graph6(g), k=k, n=n,
         value=val, value_complement=val_bar, total=val + val_bar,
@@ -387,15 +393,21 @@ class RegularEqualityResult:
     passed: bool
 
 
+def regular_half(n: int, p: GraphProfile, k: int, lk: Callable[[int], int]) -> bool | None:
+    """cor-regular-half on one graph: a d-regular graph with k <= d whose L_k
+    attains the order/degree bound n+k-1-d has 2d >= n.  Returns None when the
+    premise fails, else whether the conclusion holds; lk(k) is only called
+    once the graph is d-regular with k <= d."""
+    d = p.max_degree
+    if n < 1 or p.min_degree != d or k > d or lk(k) != _ORDER_DEGREE.value(n, p, k, None)[0]:
+        return None
+    return 2 * d >= n
+
+
 def regular_equality_check(g: Graph, k: int, method: str = "auto") -> RegularEqualityResult:
-    degs = g.degrees()
-    regular = g.n >= 1 and min(degs) == max(degs)
-    d = degs[0] if regular else None
-    applicable = regular and k <= (d or 0)
-    premise = False
-    if applicable:
-        premise = solvers.limited_packing_number(g, k, method).value == g.n + k - 1 - d
-    conclusion = regular and 2 * (d or 0) >= g.n
-    vacuous = not (applicable and premise)
-    return RegularEqualityResult(regular, d, applicable, premise, conclusion,
-                                 vacuous, vacuous or conclusion)
+    n, p = g.n, profile(g)
+    verdict = regular_half(n, p, k, lambda k: solvers.limited_packing_number(g, k, method).value)
+    regular = n >= 1 and p.min_degree == p.max_degree
+    d = p.max_degree if regular else None
+    return RegularEqualityResult(regular, d, regular and k <= d, verdict is not None,
+                                 regular and 2 * d >= n, verdict is None, verdict is not False)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Callable, Iterable
 
@@ -81,6 +82,10 @@ class GraphFacts:
         if k not in self._lk:
             self._lk[k] = solvers.limited_packing_number(self.g, k).value
         return self._lk[k]
+
+    @property
+    def l1(self) -> int:
+        return self.lk(1)
 
     def lk_bar(self, k: int) -> int:
         if k not in self._lk_bar:
@@ -155,74 +160,81 @@ def _bad(detail: str) -> Outcome:
     return Outcome(True, False, detail)
 
 
+@dataclass(frozen=True)
+class Evaluator:
+    kind: str                                  # per_k | once | standalone
+    fn: Callable | None = None
+    supplements: Callable | None = None
+    runner: Callable | None = None
+
+
 # ---------------------------------------------------------------------------
-# per-k evaluators
+# evaluators derived from the bound table
 
-def _ev_kgamma(f: GraphFacts, k: int) -> Outcome:
-    lk, gam = f.lk(k), f.gamma
-    if lk > k * gam:
-        return _bad(f"L_{k}={lk} exceeds k*gamma={k * gam}")
-    return Outcome(True, lk == k * gam)
+_BROKEN = {"lower": "<", "upper": ">", "exact": "!="}
 
 
-def _ev_delta_upper(f: GraphFacts, k: int) -> Outcome:
-    lk, dmin = f.lk(k), f.profile.min_degree
-    if lk * (dmin + 1) > k * f.n:
-        return _bad(f"L_{k}={lk} exceeds k*n/(min_degree+1)={k * f.n}/{dmin + 1}")
-    return Outcome(True, lk * (dmin + 1) == k * f.n)
+def _derived(citation: str, once_k: int | None = None) -> Evaluator:
+    """Evaluator for a statement made of bound-table rows.
 
+    A check is substantive where some row's hypothesis holds, a violation where
+    L_k falls outside a row's value, and positive on a row's tie rule.  once_k
+    fixes k for statements about a single k.
+    """
+    rows = bounds.bounds_for(citation)
+    if not rows:
+        raise ValueError(f"no bound-table row cites {citation}")
+
+    def evaluate(f: GraphFacts, k: int = once_k) -> Outcome:
+        n, p = f.n, f.profile
+        outcome, fails = SKIP, []
+        for b in rows:
+            if k not in b.ks or not b.applies(n, p, k, f):
+                continue
+            num = b.num(n, p, k, f)
+            den = 1 if b.den is None else b.den(n, p, k, f)
+            lk = f.lk(k)
+            # L_k is an integer, so it breaks a lower bound iff gap < 0, breaks
+            # an upper bound iff gap > 0, and equals the rounded value iff
+            # |gap| < den: no rounding is needed
+            gap = lk * den - num
+            if gap < 0 and b.direction != "upper" or gap > 0 and b.direction != "lower":
+                shown = num if b.den is None else f"{num}/{den}"
+                fails.append(f"L_{k}={lk} {_BROKEN[b.direction]} {b.id}={shown}")
+            elif b.tie == "any" or (gap == 0 if b.tie == "raw" else abs(gap) < den):
+                outcome = POSITIVE
+            elif outcome is SKIP:
+                outcome = PASS
+        return _bad("; ".join(fails)) if fails else outcome
+
+    return Evaluator("per_k" if once_k is None else "once", fn=evaluate)
+
+
+(_CHAIN,) = bounds.bounds_for("lem-monotone-chain")
+(_L1_RATIO,) = bounds.bounds_for("prop-l1-l2-sandwich")
+(_ORDER_DEGREE,) = bounds.bounds_for("th-order-degree-upper")
+_CLASS_T = bounds.bounds_for("th-classT-characterization")
+
+
+# ---------------------------------------------------------------------------
+# hand-written per-k evaluators
 
 def _ev_monotone_chain(f: GraphFacts, k: int) -> Outcome:
-    dmax = f.profile.max_degree
+    n, p = f.n, f.profile
     substantive = False
     fails = []
-    if k <= dmax:
+    if k <= p.max_degree:
         substantive = True
         if f.lk(k + 1) < f.lk(k) + 1:
             fails.append(f"L_{k + 1}={f.lk(k + 1)} < L_{k}+1={f.lk(k) + 1}")
-    if k >= 2 and dmax >= k - 1:
+    if _CHAIN.applies(n, p, k, f):
         substantive = True
-        if f.lk(k) < f.lk(1) + k - 1:
-            fails.append(f"L_{k}={f.lk(k)} < L_1+k-1={f.lk(1) + k - 1}")
+        need = _CHAIN.value(n, p, k, f)[0]
+        if f.lk(k) < need:
+            fails.append(f"L_{k}={f.lk(k)} < L_1+k-1={need}")
     if not substantive:
         return SKIP
     return _bad("; ".join(fails)) if fails else POSITIVE
-
-
-def _ev_diam_lower_k12(f: GraphFacts, k: int) -> Outcome:
-    p = f.profile
-    if k not in (1, 2) or not p.connected:
-        return SKIP
-    need = -(-(k + k * p.diameter) // 3)
-    if f.lk(k) < need:
-        return _bad(f"L_{k}={f.lk(k)} < ceil((k+k*diam)/3)={need} at diam={p.diameter}")
-    return Outcome(True, f.lk(k) == need)
-
-
-def _ev_small_order(f: GraphFacts, k: int) -> Outcome:
-    if f.n > k:
-        return SKIP
-    if f.lk(k) != f.n:
-        return _bad(f"order {f.n} <= k but L_{k}={f.lk(k)}")
-    return POSITIVE
-
-
-def _ev_order_kplus1(f: GraphFacts, k: int) -> Outcome:
-    if f.n != k + 1:
-        return SKIP
-    expect = k if f.profile.max_degree == k else k + 1
-    if f.lk(k) != expect:
-        return _bad(f"order k+1 with max_degree={f.profile.max_degree}: "
-                    f"L_{k}={f.lk(k)}, expected {expect}")
-    return POSITIVE
-
-
-def _ev_lk_geq_k(f: GraphFacts, k: int) -> Outcome:
-    if f.n < k + 2:
-        return SKIP
-    if f.lk(k) < k:
-        return _bad(f"order {f.n} >= k+2 but L_{k}={f.lk(k)} < {k}")
-    return Outcome(True, f.lk(k) == k)
 
 
 def _ev_lk_eq_k_characterization(f: GraphFacts, k: int) -> Outcome:
@@ -242,48 +254,12 @@ def _ev_diam_le_2(f: GraphFacts, k: int) -> Outcome:
     return POSITIVE
 
 
-def _ev_diam_lower_k3(f: GraphFacts, k: int) -> Outcome:
-    p = f.profile
-    if k < 3 or not p.connected or p.max_degree < k:
-        return SKIP
-    need = p.diameter + k - 2
-    if f.lk(k) < need:
-        return _bad(f"L_{k}={f.lk(k)} < diam+k-2={need}")
-    return Outcome(True, f.lk(k) == need)
-
-
-def _ev_girth_l2_lk(f: GraphFacts, k: int) -> Outcome:
-    girth = f.profile.girth
-    if girth is None or k < 2:
-        return SKIP
-    if k == 2:
-        need = 2 * girth // 3
-        label = "floor(2*girth/3)"
-    else:
-        if f.profile.max_degree < k:
-            return SKIP
-        need = girth + k - 3
-        label = "girth+k-3"
-    if f.lk(k) < need:
-        return _bad(f"L_{k}={f.lk(k)} < {label}={need} at girth={girth}")
-    return Outcome(True, f.lk(k) == need)
-
-
-def _ev_order_degree_upper(f: GraphFacts, k: int) -> Outcome:
-    cap = f.n + k - 1 - f.profile.max_degree
-    if f.lk(k) > cap:
-        return _bad(f"L_{k}={f.lk(k)} > n+k-1-max_degree={cap}")
-    return Outcome(True, f.lk(k) == cap)
-
-
 def _ev_regular_half(f: GraphFacts, k: int) -> Outcome:
-    p = f.profile
-    if f.n < 1 or p.min_degree != p.max_degree or k > p.max_degree:
+    verdict = bounds.regular_half(f.n, f.profile, k, f.lk)
+    if verdict is None:
         return SKIP
-    d = p.max_degree
-    if f.lk(k) != f.n + k - 1 - d:
-        return SKIP
-    if 2 * d < f.n:
+    if not verdict:
+        d = f.profile.max_degree
         return _bad(f"{d}-regular with L_{k}=n+k-1-d but 2d={2 * d} < n={f.n}")
     return POSITIVE
 
@@ -302,35 +278,19 @@ def _ev_ng_lower(f: GraphFacts, k: int) -> Outcome:
 
 def _ev_ng_upper(f: GraphFacts, k: int) -> Outcome:
     p = f.profile
-    dmax = p.max_degree
-    dmax_bar = max(f.n - 1 - p.min_degree, 0)
-    if k >= max(dmax, dmax_bar) + 1:
-        cap, case = 2 * f.n, "both-small-delta"
-    elif k <= min(dmax, dmax_bar):
-        cap, case = f.n + 2 * k - 2, "both-large-delta"
-    else:
-        cap, case = 2 * f.n - 1, "mixed"
+    case, cap = bounds.ng_upper_bound(f.n, k, p.max_degree, p.min_degree)
     total = f.lk(k) + f.lk_bar(k)
     if total > cap:
         return _bad(f"L_{k}(G)+L_{k}(complement)={total} > {case} bound={cap}")
     return Outcome(True, total == cap)
 
 
-def _ev_kk1_upper(f: GraphFacts, k: int) -> Outcome:
-    p = f.profile
-    if not p.connected or p.min_degree < k:
-        return SKIP
-    if f.lk(k) * (k + 1) > k * f.n:
-        return _bad(f"L_{k}={f.lk(k)} exceeds k*n/(k+1)={k * f.n}/{k + 1}")
-    return Outcome(True, f.lk(k) * (k + 1) == k * f.n)
-
-
 # ---------------------------------------------------------------------------
-# once-per-graph evaluators (these fix their own k)
+# hand-written once-per-graph evaluators (these fix their own k)
 
 def _ev_l1_eq_1_iff_diam2(f: GraphFacts) -> Outcome:
     p = f.profile
-    small = p.diameter is not None and p.diameter <= 2
+    small = bounds.connected(f.n, p) and p.diameter <= 2
     if (f.lk(1) == 1) != small:
         return _bad(f"L_1={f.lk(1)} but diameter={p.diameter}")
     return Outcome(True, f.lk(1) == 1)
@@ -338,7 +298,7 @@ def _ev_l1_eq_1_iff_diam2(f: GraphFacts) -> Outcome:
 
 def _ev_open_packing_diam2(f: GraphFacts) -> Outcome:
     p = f.profile
-    if p.diameter is None or p.diameter > 2:
+    if not bounds.connected(f.n, p) or p.diameter > 2:
         return SKIP
     if f.rho0 > 2:
         return _bad(f"rho0={f.rho0} > 2 at diameter={p.diameter}")
@@ -368,25 +328,8 @@ def _ev_ng_l2_n_plus_2(f: GraphFacts) -> Outcome:
     return Outcome(True, total == f.n + 2)
 
 
-def _ev_l1_maxdeg_lower(f: GraphFacts) -> Outcome:
-    denom = f.profile.max_degree ** 2 + 1
-    if f.lk(1) * denom < f.n:
-        return _bad(f"L_1={f.lk(1)} below n/(max_degree^2+1)={f.n}/{denom}")
-    return Outcome(True, f.lk(1) == -(-f.n // denom))
-
-
-def _ev_girth_l1(f: GraphFacts) -> Outcome:
-    girth = f.profile.girth
-    if girth is None:
-        return SKIP
-    need = girth // 3
-    if f.lk(1) < need:
-        return _bad(f"L_1={f.lk(1)} < floor(girth/3)={need} at girth={girth}")
-    return Outcome(True, f.lk(1) == need)
-
-
 def _ev_class_g(f: GraphFacts) -> Outcome:
-    target = f.n + 1 - f.profile.max_degree
+    target = _ORDER_DEGREE.num(f.n, f.profile, 2, f)
     semantic = f.lk(2) == target
     member = f.class_g_witness is not None
     if semantic != member:
@@ -395,72 +338,21 @@ def _ev_class_g(f: GraphFacts) -> Outcome:
     return Outcome(True, semantic)
 
 
-def _ev_45_upper(f: GraphFacts) -> Outcome:
-    p = f.profile
-    if not p.connected or f.n < 3:
-        return SKIP
-    if 5 * f.lk(2) > 4 * f.n:
-        return _bad(f"L_2={f.lk(2)} exceeds 4n/5={4 * f.n}/5")
-    return Outcome(True, 5 * f.lk(2) == 4 * f.n)
-
-
-def _ev_tree_deltaprime(f: GraphFacts) -> Outcome:
-    p = f.profile
-    if not p.is_tree or p.min_nonleaf_degree is None or p.min_nonleaf_degree < 4:
-        return SKIP
-    if 3 * f.lk(2) > 2 * f.n:
-        return _bad(f"L_2={f.lk(2)} exceeds 2n/3={2 * f.n}/3")
-    return POSITIVE
-
-
-def _ev_maxdeg_n1(f: GraphFacts) -> Outcome:
-    if f.n < 2 or f.profile.max_degree != f.n - 1:
-        return SKIP
-    if f.lk(2) != 2:
-        return _bad(f"max_degree=n-1 but L_2={f.lk(2)}")
-    return POSITIVE
-
-
-def _ev_cutvertex_diam2(f: GraphFacts) -> Outcome:
-    p = f.profile
-    if p.diameter != 2 or p.cut_vertices == 0:
-        return SKIP
-    if f.lk(2) != 2:
-        return _bad(f"diameter 2 with a cut vertex but L_2={f.lk(2)}")
-    return POSITIVE
-
-
-def _ev_improved_diam_upper(f: GraphFacts) -> Outcome:
-    p = f.profile
-    if not p.connected:
-        return SKIP
-    cap = f.n + 1 - p.max_degree - (p.diameter - 4) // 3
-    if f.lk(2) > cap:
-        return _bad(f"L_2={f.lk(2)} > n+1-max_degree-floor((diam-4)/3)={cap}")
-    return Outcome(True, f.lk(2) == cap)
-
-
-def _ev_openpack_sandwich(f: GraphFacts) -> Outcome:
-    l1, r = f.lk(1), f.rho0
-    if not l1 <= r <= 2 * l1:
-        return _bad(f"rho0={r} outside [L_1, 2L_1]=[{l1}, {2 * l1}]")
-    return Outcome(True, r == l1 or r == 2 * l1)
-
-
 def _ev_l1_l2_sandwich(f: GraphFacts) -> Outcome:
-    if f.g.edge_count() == 0:
+    n, p = f.n, f.profile
+    if not _L1_RATIO.applies(n, p, 2, f):
         return SKIP
-    p = f.profile
-    l1, l2 = f.lk(1), f.lk(2)
+    lower = _CHAIN.value(n, p, 2, f)[0]
+    upper, num, den = _L1_RATIO.value(n, p, 2, f)
+    l2 = f.lk(2)
     fails = []
-    if l2 < l1 + 1:
-        fails.append(f"L_2={l2} < L_1+1={l1 + 1}")
-    if l2 * (p.min_degree + 1) > 2 * (p.max_degree ** 2 + 1) * l1:
-        fails.append(f"L_2={l2} exceeds 2(max_degree^2+1)L_1/(min_degree+1)"
-                     f"={2 * (p.max_degree ** 2 + 1) * l1}/{p.min_degree + 1}")
+    if l2 < lower:
+        fails.append(f"L_2={l2} < L_1+1={lower}")
+    if l2 > upper:
+        fails.append(f"L_2={l2} exceeds 2(max_degree^2+1)L_1/(min_degree+1)={num}/{den}")
     if fails:
         return _bad("; ".join(fails))
-    return Outcome(True, l2 == l1 + 1)
+    return Outcome(True, l2 == lower)
 
 
 def _ev_spider_characterization(f: GraphFacts) -> Outcome:
@@ -483,13 +375,14 @@ def _ev_class_t_characterization(f: GraphFacts) -> Outcome:
     p = f.profile
     if not p.is_tree or f.n < 2:
         return SKIP
-    r, l2 = f.rho0, f.lk(2)
+    lo, hi = (b.value(f.n, p, 2, f)[0] for b in _CLASS_T)
+    l2 = f.lk(2)
     member = f.class_t_witness is not None
     fails = []
-    if not r <= l2 <= 2 * r:
-        fails.append(f"L_2={l2} outside [rho0, 2*rho0]=[{r}, {2 * r}]")
-    if (r == l2) != member:
-        fails.append(f"rho0={r}, L_2={l2} but witness {'found' if member else 'absent'}")
+    if not lo <= l2 <= hi:
+        fails.append(f"L_2={l2} outside [rho0, 2*rho0]=[{lo}, {hi}]")
+    if (lo == l2) != member:
+        fails.append(f"rho0={lo}, L_2={l2} but witness {'found' if member else 'absent'}")
     if fails:
         return _bad("; ".join(fails))
     return Outcome(True, member)
@@ -498,13 +391,24 @@ def _ev_class_t_characterization(f: GraphFacts) -> Outcome:
 # ---------------------------------------------------------------------------
 # standalone evaluators: family formulas and constructions
 
-def _formula_run(family: str, instances: list) -> tuple[int, int, int, list]:
+_FORMULA_FAMILIES = {
+    "lem-path-formula": ("path", range(1, 13)),
+    "lem-cycle-formula": ("cycle", range(3, 13)),
+    "lem-complete-formula": ("complete", range(1, 11)),
+    "lem-bipartite-formula": ("complete_bipartite",
+                              [(m, n) for m in range(1, 10) for n in range(m, 10) if m + n <= 10]),
+}
+
+
+def _formula_run(family: str, sizes) -> tuple[int, int, int, list]:
     checked = substantive = positives = 0
     violations = []
-    for params, g, label in instances:
+    for size in sizes:
+        g = construct_family(family, size)
+        label = f"{family} n={size}" if isinstance(size, int) else f"{family} {size[0]},{size[1]}"
         checked += 1
         for k in (1, 2, 3, 4):
-            expect = bounds.closed_form(family, params, k)
+            expect = bounds.closed_form(family, size, k)
             got = solvers.limited_packing_oracle(g, k).value
             substantive += 1
             if got != expect:
@@ -513,28 +417,6 @@ def _formula_run(family: str, instances: list) -> tuple[int, int, int, list]:
             else:
                 positives += 1
     return checked, substantive, positives, violations
-
-
-def _run_path_formula():
-    return _formula_run("path", [(n, construct_family("path", n), f"path n={n}")
-                                 for n in range(1, 13)])
-
-
-def _run_cycle_formula():
-    return _formula_run("cycle", [(n, construct_family("cycle", n), f"cycle n={n}")
-                                  for n in range(3, 13)])
-
-
-def _run_complete_formula():
-    return _formula_run("complete", [(n, construct_family("complete", n), f"complete n={n}")
-                                     for n in range(1, 11)])
-
-
-def _run_bipartite_formula():
-    instances = [((m, n), construct_family("complete_bipartite", (m, n)),
-                  f"complete_bipartite {m},{n}")
-                 for m in range(1, 10) for n in range(m, 10) if m + n <= 10]
-    return _formula_run("complete_bipartite", instances)
 
 
 def _run_diam2_construction(sizes: Iterable[int] = range(2, 6)):
@@ -596,50 +478,40 @@ def _class_t_supplements() -> list[Graph]:
 # ---------------------------------------------------------------------------
 # the registry
 
-@dataclass(frozen=True)
-class Evaluator:
-    kind: str                                  # per_k | once | standalone
-    fn: Callable | None = None
-    supplements: Callable | None = None
-    runner: Callable | None = None
-
-
 REGISTRY: dict[str, Evaluator] = {
-    "lem-path-formula": Evaluator("standalone", runner=_run_path_formula),
-    "lem-cycle-formula": Evaluator("standalone", runner=_run_cycle_formula),
-    "lem-complete-formula": Evaluator("standalone", runner=_run_complete_formula),
-    "lem-bipartite-formula": Evaluator("standalone", runner=_run_bipartite_formula),
-    "lem-kgamma": Evaluator("per_k", fn=_ev_kgamma),
-    "lem-delta-upper": Evaluator("per_k", fn=_ev_delta_upper),
+    **{tid: Evaluator("standalone", runner=partial(_formula_run, family, sizes))
+       for tid, (family, sizes) in _FORMULA_FAMILIES.items()},
+    "lem-kgamma": _derived("lem-kgamma"),
+    "lem-delta-upper": _derived("lem-delta-upper"),
     "lem-monotone-chain": Evaluator("per_k", fn=_ev_monotone_chain),
     "lem-l1-eq-1-iff-diam2": Evaluator("once", fn=_ev_l1_eq_1_iff_diam2),
     "lem-open-packing-diam2": Evaluator("once", fn=_ev_open_packing_diam2),
     "lem-rho-eq-gammat-trees": Evaluator("once", fn=_ev_rho_eq_gammat_trees),
     "lem-l1-eq-gamma-trees": Evaluator("once", fn=_ev_l1_eq_gamma_trees),
-    "lem-diam-lower-k12": Evaluator("per_k", fn=_ev_diam_lower_k12),
+    "lem-diam-lower-k12": _derived("lem-diam-lower-k12"),
     "lem-ng-l2-n-plus-2": Evaluator("once", fn=_ev_ng_l2_n_plus_2),
-    "lem-l1-maxdeg-lower": Evaluator("once", fn=_ev_l1_maxdeg_lower),
-    "prop-small-order": Evaluator("per_k", fn=_ev_small_order),
-    "prop-order-kplus1": Evaluator("per_k", fn=_ev_order_kplus1),
-    "prop-lk-geq-k": Evaluator("per_k", fn=_ev_lk_geq_k),
+    "lem-l1-maxdeg-lower": _derived("lem-l1-maxdeg-lower", once_k=1),
+    "prop-small-order": _derived("prop-small-order"),
+    "prop-order-kplus1": _derived("prop-order-kplus1"),
+    "prop-lk-geq-k": _derived("prop-lk-geq-k"),
     "th-lk-eq-k-characterization": Evaluator("per_k", fn=_ev_lk_eq_k_characterization),
     "cor-diam-le-2": Evaluator("per_k", fn=_ev_diam_le_2),
-    "th-diam-lower-k3": Evaluator("per_k", fn=_ev_diam_lower_k3),
-    "th-girth-l1": Evaluator("once", fn=_ev_girth_l1),
-    "th-girth-l2-lk": Evaluator("per_k", fn=_ev_girth_l2_lk),
-    "th-order-degree-upper": Evaluator("per_k", fn=_ev_order_degree_upper),
+    "th-diam-lower-k3": _derived("th-diam-lower-k3"),
+    "th-girth-l1": _derived("th-girth-l1", once_k=1),
+    "th-girth-l2-lk": _derived("th-girth-l2-lk"),
+    "th-order-degree-upper": _derived("th-order-degree-upper"),
     "cor-classG": Evaluator("once", fn=_ev_class_g),
     "cor-regular-half": Evaluator("per_k", fn=_ev_regular_half),
     "prop-ng-lower": Evaluator("per_k", fn=_ev_ng_lower),
     "th-ng-upper": Evaluator("per_k", fn=_ev_ng_upper),
-    "lem-45-upper": Evaluator("once", fn=_ev_45_upper),
-    "lem-kk1-upper": Evaluator("per_k", fn=_ev_kk1_upper),
-    "th-tree-deltaprime": Evaluator("once", fn=_ev_tree_deltaprime),
+    "lem-45-upper": _derived("lem-45-upper", once_k=2),
+    "lem-kk1-upper": _derived("lem-kk1-upper"),
+    "th-tree-deltaprime": _derived("th-tree-deltaprime", once_k=2),
     "th-diam2-construction": Evaluator("standalone", runner=_run_diam2_construction),
-    "lem-maxdeg-n1": Evaluator("once", fn=_ev_maxdeg_n1),
-    "lem-cutvertex-diam2": Evaluator("once", fn=_ev_cutvertex_diam2),
-    "th-improved-diam-upper": Evaluator("once", fn=_ev_improved_diam_upper),
-    "lem-openpack-sandwich": Evaluator("once", fn=_ev_openpack_sandwich),
+    "lem-maxdeg-n1": _derived("lem-maxdeg-n1", once_k=2),
+    "lem-cutvertex-diam2": _derived("lem-cutvertex-diam2", once_k=2),
+    "th-improved-diam-upper": _derived("th-improved-diam-upper", once_k=2),
+    "lem-openpack-sandwich": _derived("lem-openpack-sandwich", once_k=1),
     "prop-l1-l2-sandwich": Evaluator("once", fn=_ev_l1_l2_sandwich),
     "th-spider-characterization": Evaluator("once", fn=_ev_spider_characterization,
                                             supplements=_spider_supplements),

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph, bits, mask_of, profile
+from .graphs import MAX_VERTICES, Graph, bits, mask_of, profile
 from .solvers import ORACLE_LIMIT, OracleLimitError, open_packing_number
 
 
@@ -226,8 +226,8 @@ def construct_diam2(a: int) -> Graph:
         raise ValueError("construction needs a >= 2")
     pairs = a * (a - 1) // 2
     n = a + pairs
-    if n > 64:
-        raise ValueError(f"order {n} exceeds 64 (a <= 10)")
+    if n > MAX_VERTICES:
+        raise ValueError(f"order {n} exceeds {MAX_VERTICES} (a <= 10)")
     edges = []
     for j in range(1, a):
         for i in range(j):
@@ -252,8 +252,8 @@ def construct_tree_prescribed(a: int, b: int) -> Graph:
         raise ValueError(f"b must satisfy a+1 <= b <= 2a, got a={a}, b={b}")
     if b == 2 * a:
         n = 3 * a
-        if n > 64:
-            raise ValueError(f"order {n} exceeds 64")
+        if n > MAX_VERTICES:
+            raise ValueError(f"order {n} exceeds {MAX_VERTICES}")
         edges = []
         for i in range(a):
             x, y, z = 3 * i, 3 * i + 1, 3 * i + 2
@@ -264,8 +264,8 @@ def construct_tree_prescribed(a: int, b: int) -> Graph:
         return Graph.from_edges(n, edges)
     r = b - a
     n = 2 * a + r - 1
-    if n > 64:
-        raise ValueError(f"order {n} exceeds 64")
+    if n > MAX_VERTICES:
+        raise ValueError(f"order {n} exceeds {MAX_VERTICES}")
     edges = [(0, i) for i in range(1, a + 1)]
     nxt = a + 1
     for i in range(1, r):
@@ -283,8 +283,8 @@ def construct_spider(t: int, s: int) -> Graph:
     if t < 0 or s < 0:
         raise ValueError("spider needs t >= 0 and s >= 0")
     n = 1 + 2 * t + s
-    if n > 64:
-        raise ValueError(f"order {n} exceeds 64")
+    if n > MAX_VERTICES:
+        raise ValueError(f"order {n} exceeds {MAX_VERTICES}")
     edges = []
     for i in range(t):
         mid, leaf = 1 + 2 * i, 2 + 2 * i
@@ -301,10 +301,10 @@ def construct_comb(a: int, pendants: tuple[int, ...] = ()) -> Graph:
         raise ValueError("comb needs a >= 1")
     if pendants and len(pendants) != a:
         raise ValueError("pendants tuple must have one count per spine vertex")
-    pendants = pendants or (0,) * a
     n = 3 * a + sum(pendants)
-    if n > 64:
-        raise ValueError(f"order {n} exceeds 64")
+    if n > MAX_VERTICES:
+        raise ValueError(f"order {n} exceeds {MAX_VERTICES}")
+    pendants = pendants or (0,) * a
     edges = []
     for i in range(a):
         r, v, u = i, a + 2 * i, a + 2 * i + 1
@@ -321,46 +321,40 @@ def construct_comb(a: int, pendants: tuple[int, ...] = ()) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+_SINGLE_PARAMETER_FAMILIES = {  # name -> (least order, edge list of order n)
+    "path": (1, lambda n: [(i, i + 1) for i in range(n - 1)]),
+    "cycle": (3, lambda n: [(i, (i + 1) % n) for i in range(n)]),
+    "complete": (1, lambda n: combinations(range(n), 2)),
+    "star": (1, lambda n: [(0, i) for i in range(1, n)]),
+    "complete_minus_edge": (2, lambda n: (e for e in combinations(range(n), 2) if e != (0, 1))),
+}
+
+
 def construct_family(name: str, params) -> Graph:
-    """Named parametric families with fixed labellings."""
-    if name == "path":
+    """Named parametric families with fixed labellings.  Orders are checked
+    before any edge is built."""
+    if name in _SINGLE_PARAMETER_FAMILIES:
+        least, edges = _SINGLE_PARAMETER_FAMILIES[name]
         n = int(params)
-        if n < 1:
-            raise ValueError("path needs n >= 1")
-        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    if name == "cycle":
-        n = int(params)
-        if n < 3:
-            raise ValueError("cycle needs n >= 3")
-        return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-    if name == "complete":
-        n = int(params)
-        if n < 1:
-            raise ValueError("complete graph needs n >= 1")
-        return Graph.from_edges(n, list(combinations(range(n), 2)))
+        if not least <= n <= MAX_VERTICES:
+            raise ValueError(f"{name} needs {least} <= n <= {MAX_VERTICES}, got {n}")
+        return Graph.from_edges(n, edges(n))
     if name == "complete_bipartite":
         m, n = params
         if m < 1 or n < 1:
             raise ValueError("complete bipartite graph needs both parts >= 1")
+        if m + n > MAX_VERTICES:
+            raise ValueError(f"order {m + n} exceeds {MAX_VERTICES}")
         return Graph.from_edges(m + n, [(i, m + j) for i in range(m) for j in range(n)])
-    if name == "star":
-        n = int(params)
-        if n < 1:
-            raise ValueError("star needs n >= 1")
-        return Graph.from_edges(n, [(0, i) for i in range(1, n)])
     if name == "spider":
-        t, s = params
-        return construct_spider(t, s)
-    if name == "complete_minus_edge":
-        n = int(params)
-        if n < 2:
-            raise ValueError("complete graph minus an edge needs n >= 2")
-        edges = [e for e in combinations(range(n), 2) if e != (0, 1)]
-        return Graph.from_edges(n, edges)
+        return construct_spider(*params)
     if name == "comb":
-        a = int(params)
-        return construct_comb(a)
+        return construct_comb(int(params))
     raise ValueError(f"unknown family {name!r}")
+
+
+_SPEC_ARITY = {**dict.fromkeys(_SINGLE_PARAMETER_FAMILIES, 1), "comb": 1, "diam2": 1,
+               "complete_bipartite": 2, "spider": 2, "prescribed": 2}
 
 
 def build_from_spec(text: str) -> Graph:
@@ -369,20 +363,18 @@ def build_from_spec(text: str) -> Graph:
     name = name.strip()
     if not sep or not arg.strip():
         raise ValueError(f"family spec needs 'name:params', got {text!r}")
+    if name not in _SPEC_ARITY:
+        raise ValueError(f"unknown family {name!r}")
     try:
         nums = [int(x) for x in arg.split(",")]
     except ValueError:
         raise ValueError(f"family parameters must be integers, got {arg!r}") from None
+    arity = _SPEC_ARITY[name]
+    if len(nums) != arity:
+        raise ValueError(f"family {name!r} takes {arity} integer parameter"
+                         f"{'s' if arity > 1 else ''}, got {len(nums)}")
     if name == "diam2":
-        (a,) = nums
-        return construct_diam2(a)
+        return construct_diam2(*nums)
     if name == "prescribed":
-        a, b = nums
-        return construct_tree_prescribed(a, b)
-    if name in ("spider", "complete_bipartite"):
-        t, s = nums
-        return construct_family(name, (t, s))
-    if name in ("path", "cycle", "complete", "star", "complete_minus_edge", "comb"):
-        (n,) = nums
-        return construct_family(name, n)
-    raise ValueError(f"unknown family {name!r}")
+        return construct_tree_prescribed(*nums)
+    return construct_family(name, nums[0] if arity == 1 else tuple(nums))

@@ -142,8 +142,8 @@ def test_report_tree_entries():
 
 
 def test_report_soundness_exhaustive():
-    for n in range(1, 6):
-        for g in enumerate_labeled_graphs(n):
+    for n in range(0, 6):
+        for g in enumerate_labeled_graphs(n) if n else [Graph.empty(0)]:
             for k in (1, 2, 3):
                 rep = bound_report(g, k, with_exact=True)
                 for e in rep.entries:

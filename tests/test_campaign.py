@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from limpack import Graph
 from limpack.campaign import (ALL_THEOREM_IDS, REGISTRY, Evaluator, Outcome,
                               replay_violation, run_campaign)
 from limpack.corpus import parse_corpus_spec
@@ -164,3 +165,10 @@ def test_theorem_id_dedup_and_order():
     report = run_campaign(["lem-kgamma", "lem-kgamma", "cor-classG"], corpus, (2, 1))
     assert [v.theorem_id for v in report.verdicts] == ["cor-classG", "lem-kgamma"]
     assert json.loads(report.to_json())["k_range"] == [1, 2]
+
+
+def test_null_graph_campaign():
+    # K_0 counts as connected with diameter 0 in its profile, but no
+    # statement about connected graphs may apply to it
+    report = run_campaign(ALL_THEOREM_IDS, [Graph.empty(0)], range(1, 4))
+    assert not report.failed, [v.violations for v in report.verdicts if v.violations]

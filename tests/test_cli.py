@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, output shapes, exit codes."""
 import json
+import time
 
 import pytest
 
@@ -68,6 +69,15 @@ def test_bounds_exact(capsys):
     assert ids == sorted(set(ids), key=ids.index) and len(ids) == len(set(ids))
 
 
+def test_bounds_null_graph(capsys):
+    for k in (1, 2, 3):
+        rc, out, _ = run(capsys, "bounds", "--graph", "?", "--k", str(k), "--exact")
+        assert rc == 0
+        data = json.loads(out)
+        assert data["exact"] == 0
+        assert data["best_lower"] == 0 <= data["best_upper"]
+
+
 def test_ng_totals(capsys):
     rc, out, _ = run(capsys, "ng", "--graph", "BW", "--k", "2")
     assert rc == 0
@@ -103,6 +113,29 @@ def test_generate(capsys):
     assert rc == 0 and out == "Bg\n"
     rc, out, _ = run(capsys, "generate", "--family", "prescribed:2,4")
     assert rc == 0 and out.strip()
+
+
+def test_generate_arity(capsys):
+    arity = {"path": 1, "cycle": 1, "complete": 1, "star": 1, "complete_minus_edge": 1,
+             "comb": 1, "diam2": 1, "complete_bipartite": 2, "spider": 2, "prescribed": 2}
+    good = {1: "4", 2: "2,4"}
+    for family, count in arity.items():
+        rc, out, _ = run(capsys, "generate", "--family", f"{family}:{good[count]}")
+        assert rc == 0 and out.strip(), family
+        for wrong in ("3,4,5", "4") if count == 2 else ("3,4",):
+            rc, out, err = run(capsys, "generate", "--family", f"{family}:{wrong}")
+            assert rc == 2 and out == ""
+            plural = "s" if count > 1 else ""
+            assert err == (f"error: family {family!r} takes {count} integer parameter{plural}, "
+                           f"got {len(wrong.split(','))}\n")
+
+
+def test_generate_oversized_order_rejected_fast(capsys):
+    for spec in ("complete:3000", "path:200000", "complete_bipartite:40,30", "comb:100000"):
+        t0 = time.monotonic()
+        rc, out, err = run(capsys, "generate", "--family", spec)
+        assert time.monotonic() - t0 < 1.0, spec
+        assert rc == 2 and out == "" and "64" in err, spec
 
 
 def test_verify_pass(capsys):

@@ -11,7 +11,6 @@ Regenerate, only when an output change is intended, with
     PYTHONPATH=src python tests/test_golden.py
 """
 import json
-import sys
 from pathlib import Path
 
 from limpack import Graph, bound_report, build_from_spec, parse_corpus_spec, run_campaign
@@ -72,6 +71,7 @@ def compress_panel(reports: list[dict]) -> str:
                  else [e["value"], e["raw"]] for e in rep["entries"]]
         rows.append([rep["graph6"], rep["k"], rep["n"], rep["exact"],
                      rep["best_lower"], rep["best_upper"], cells])
+
     def rows_text(items):
         return "[\n" + ",\n".join(json.dumps(item) for item in items) + "\n]"
 
@@ -119,4 +119,3 @@ if __name__ == "__main__":
     assert expand_panel(text) == reports
     PANEL_PATH.write_text(text)
     CAMPAIGN_PATH.write_text(campaign_text())
-    sys.exit(0)
