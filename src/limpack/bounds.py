@@ -6,13 +6,15 @@ BoundEntry records whose hypothesis was actually checked against the graph
 profile; entries whose hypothesis fails (or whose auxiliary exact values were
 not supplied) carry applicable=False and no value.  The campaign derives its
 evaluators for the same statements from the same rows.  Bounds derived from
-gamma, L_1, or rho0 never recompute those parameters: callers pass them in
-through AuxValues.
+gamma, L_1, or rho0 read them from an aux object: bound_report solves each on
+its first read, the campaign reads its GraphFacts, and callers may pass the
+values in through AuxValues.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable
 
@@ -48,6 +50,32 @@ class AuxValues:
     gamma: int | None = None
     l1: int | None = None
     rho0: int | None = None
+
+
+class _SolvedAux:
+    """gamma, L_1 and rho0 of one graph, each solved on its first read.
+
+    They are 2^n subset scans, so above the enumeration guard each reads None
+    and the entries that need it are inapplicable.
+    """
+
+    def __init__(self, g: Graph):
+        self._g = g
+
+    def _solve(self, solver) -> int | None:
+        return solver(self._g).value if self._g.n <= solvers.ORACLE_LIMIT else None
+
+    @cached_property
+    def gamma(self) -> int | None:
+        return self._solve(solvers.domination_number)
+
+    @cached_property
+    def l1(self) -> int | None:
+        return self._solve(lambda g: solvers.limited_packing_number(g, 1))
+
+    @cached_property
+    def rho0(self) -> int | None:
+        return self._solve(solvers.open_packing_number)
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +294,16 @@ class BoundReport:
 
 
 def bound_report(g: Graph, k: int, with_exact: bool = False) -> BoundReport:
-    """Assemble every bound entry for (g, k), solving for aux parameters.
+    """Assemble every bound entry for (g, k).
 
-    Auxiliary exact values (gamma, L_1, rho0) are solver calls, so they are
-    only attempted within the enumeration guard; otherwise those entries are
-    inapplicable.
+    Auxiliary exact values (gamma, L_1, rho0) are solved only when an entry
+    whose other hypotheses hold reads them, and only within the enumeration
+    guard; otherwise those entries are inapplicable.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     p = profile(g)
-    aux = AuxValues()
-    if g.n <= solvers.ORACLE_LIMIT:
-        aux = AuxValues(
-            gamma=solvers.domination_number(g).value,
-            l1=solvers.limited_packing_number(g, 1).value,
-            rho0=solvers.open_packing_number(g).value,
-        )
+    aux = _SolvedAux(g)
     entries = tuple(b.entry(g.n, p, k, aux) for b in BOUNDS if k in b.ks)
     exact = solvers.limited_packing_number(g, k).value if with_exact else None
     return BoundReport(emit_graph6(g), k, g.n, entries, exact)

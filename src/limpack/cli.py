@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import bounds as bounds_mod
 from . import solvers
@@ -17,7 +18,7 @@ from .corpus import parse_corpus_spec
 from .extremal import (build_from_spec, check_Lk_equals_k,
                        is_spider_below_max_degree, recognize_class_G,
                        recognize_class_T, recognize_spider)
-from .graphs import (Graph, GraphFormatError, bits, emit_graph6,
+from .graphs import (MAX_VERTICES, Graph, GraphFormatError, bits, emit_graph6,
                      parse_edge_list, parse_graph6, profile)
 
 _G6_HEADER = ">>graph6<<"
@@ -43,16 +44,28 @@ def _load_graph(spec: str) -> Graph:
     return parse_graph6(spec)
 
 
+# L_k(G) = n once k > max degree (at most MAX_VERTICES - 1): larger k add nothing
+K_LIMIT = MAX_VERTICES + 1
+
+
 def _parse_k_list(text: str) -> list[int]:
-    """'2', '1..3', or '1,2,4'."""
+    """'2', '1..3', or '1,2,4', each k in 1..K_LIMIT, checked before a range is built."""
     text = text.strip()
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
         if lo > hi:
             raise ValueError(f"empty k range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(part) for part in text.split(",")]
+        ks = range(lo, hi + 1)
+    else:
+        ks = [int(part) for part in text.split(",")]
+        lo, hi = min(ks), max(ks)
+    if lo < 1:
+        raise ValueError("k values must be >= 1")
+    if hi > K_LIMIT:
+        raise ValueError(f"k values must be <= {K_LIMIT} (graphs have at most "
+                         f"{MAX_VERTICES} vertices), got {hi}")
+    return list(ks)
 
 
 def _emit(payload: dict) -> None:
@@ -61,10 +74,15 @@ def _emit(payload: dict) -> None:
 
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
+    t0 = time.perf_counter()
     res = solvers.limited_packing_number(g, args.k, method=args.method)
+    elapsed = time.perf_counter() - t0
     print(res.value)
     if args.witness:
         print(" ".join(str(v) for v in res.witness_vertices()))
+    if args.stats:
+        print(json.dumps({"method": res.method, "nodes_explored": res.nodes_explored,
+                          "elapsed_s": round(elapsed, 6)}), file=sys.stderr)
     return 0
 
 
@@ -188,6 +206,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true",
                    help="also print an optimal set (the oracle returns the "
                         "lexicographically least one)")
+    p.add_argument("--stats", action="store_true",
+                   help="print method, nodes explored and elapsed seconds as "
+                        "one JSON line on stderr")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("params", help="exact parameter panel for one graph")

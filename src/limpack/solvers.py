@@ -1,9 +1,11 @@
 """Exact solvers for limited packing, open packing, and domination numbers.
 
 Two exact routes for the k-limited packing number: a subset-enumeration oracle
-(guarded to n <= 24) and a branch-and-bound search that handles any graph the
-package admits.  Both are deterministic; the oracle additionally returns the
-canonical witness (smallest bitmask among maximum solutions).
+(guarded to n <= 24) and a branch-and-bound search, pruned by the residual
+cover bound, that handles any graph the package admits.  Both are
+deterministic: the oracle returns the smallest bitmask among maximum
+solutions, branch and bound the lexicographically greatest one in its
+branching order (descending degree, ties by index).
 """
 from __future__ import annotations
 
@@ -77,10 +79,22 @@ def limited_packing_oracle(g: Graph, k: int) -> SolveResult:
 def limited_packing_bb(g: Graph, k: int) -> SolveResult:
     """Maximum k-limited packing by branch and bound (any n <= 64).
 
-    Branches on vertices in descending-degree order (ties by index) with
-    include/exclude decisions.  Residual capacities track k minus the hits on
-    each closed neighbourhood; a branch dies when the packing built so far
-    plus the count of still-eligible vertices cannot beat the incumbent.
+    Branches on vertices in descending-degree order (ties by index), include
+    before exclude.  Residual capacities track k minus the hits on each
+    closed neighbourhood; once one is exhausted, every vertex of that
+    neighbourhood is blocked.  The free vertices are the undecided, unblocked
+    ones, and a branch dies when the packing so far plus a bound on how many
+    free vertices can join cannot beat the incumbent.  Two bounds are tried
+    in turn: the count of free vertices, then the residual cover bound, the
+    local form of L_k <= k * gamma.  The cover bound splits the free vertices
+    into parts inside closed neighbourhoods N[w], each holding at most
+    min(|part|, capacity of w) packing vertices: in branching order, every w
+    with more free vertices in N[w] than capacity takes them as a part, and
+    each free vertex left over is a part of its own.
+
+    The witness is the first maximum packing in search order, i.e. the
+    lexicographically greatest optimum in branching order; no valid bound
+    prunes it, so the bounds change only nodes_explored.
     """
     _check_k(k)
     n = g.n
@@ -93,34 +107,43 @@ def limited_packing_bb(g: Graph, k: int) -> SolveResult:
 
     order = sorted(range(n), key=lambda v: (-degs[v], v))
     closed = g.closed
+    # only an N[w] with more than k vertices can hold more free vertices than
+    # w's capacity: each packing vertex that spent some of it is not free
+    hubs = [(w, closed[w]) for w in order if degs[w] >= k]
+    rest = [0] * (n + 1)  # rest[pos]: mask of order[pos:]
+    for pos in range(n - 1, -1, -1):
+        rest[pos] = rest[pos + 1] | (1 << order[pos])
     best = 0
     best_mask = 0
     nodes = 0
     caps = [k] * n
-    zero_mask = 0  # vertices whose capacity is exhausted
+    blocked = 0  # vertices whose closed neighbourhood meets an exhausted one
 
     def walk(pos: int, chosen: int, chosen_mask: int) -> None:
-        nonlocal best, best_mask, nodes, zero_mask
+        nonlocal best, best_mask, nodes, blocked
         nodes += 1
         if chosen > best:
             best = chosen
             best_mask = chosen_mask
-        eligible = 0
-        for i in range(pos, n):
-            if not closed[order[i]] & zero_mask:
-                eligible += 1
-        if chosen + eligible <= best or pos == n:
+        free = rest[pos] & ~blocked
+        if chosen + free.bit_count() <= best:
+            return
+        bound = chosen
+        for w, cw in hubs:
+            if (cw & free).bit_count() > caps[w]:
+                bound += caps[w]
+                free &= ~cw
+        if bound + free.bit_count() <= best:
             return
         v = order[pos]
-        if not closed[v] & zero_mask:
-            touched = 0
+        if not (blocked >> v) & 1:
+            saved = blocked
             for u in bits(closed[v]):
                 caps[u] -= 1
                 if caps[u] == 0:
-                    touched |= 1 << u
-            zero_mask |= touched
+                    blocked |= closed[u]
             walk(pos + 1, chosen + 1, chosen_mask | (1 << v))
-            zero_mask &= ~touched
+            blocked = saved
             for u in bits(closed[v]):
                 caps[u] += 1
         walk(pos + 1, chosen, chosen_mask)

@@ -121,6 +121,33 @@ def test_report_small_order_exact_entries():
     assert e.applicable and e.value == 3
 
 
+def test_report_solves_aux_values_only_when_read(monkeypatch):
+    from limpack import solvers
+    calls = []
+
+    def counting(name):
+        solver = getattr(solvers, name)
+        return lambda *args: calls.append(name) or solver(*args)
+
+    for name in ("domination_number", "open_packing_number"):
+        monkeypatch.setattr(solvers, name, counting(name))
+    cycle = construct_family("cycle", 12)
+    rep = bound_report(cycle, 3)
+    assert calls == ["domination_number"]              # rho0 is read only at k <= 2
+    assert entry(rep, "kgamma-upper").value == 12
+    calls.clear()
+    rep = bound_report(cycle, 2)
+    assert calls == ["domination_number"]              # the cycle is not a tree
+    calls.clear()
+    rep = bound_report(cycle, 1)
+    assert sorted(calls) == ["domination_number", "open_packing_number"]
+    assert entry(rep, "openpack-upper").value == open_packing_number(cycle).value
+    calls.clear()
+    rep = bound_report(construct_family("path", 30), 1)
+    assert calls == []                                 # above the enumeration guard
+    assert not entry(rep, "kgamma-upper").applicable
+
+
 def test_report_universal_vertex_and_cutvertex():
     rep = bound_report(construct_family("star", 5), 2, with_exact=True)
     assert entry(rep, "universal-vertex-exact").applicable

@@ -29,6 +29,23 @@ def test_solve_method_override(capsys):
     assert rc == 0 and out == "2\n"
 
 
+def test_solve_stats_on_stderr_only(capsys):
+    for method in ("auto", "oracle", "bb"):
+        argv = ["solve", "--graph", "DhC", "--k", "2", "--witness", "--method", method]
+        rc, plain_out, plain_err = run(capsys, *argv)
+        assert rc == 0 and plain_err == ""
+        rc, out, err = run(capsys, *argv, "--stats")
+        assert rc == 0 and out == plain_out
+        lines = err.splitlines()
+        assert len(lines) == 1
+        stats = json.loads(lines[0])
+        assert list(stats) == ["method", "nodes_explored", "elapsed_s"]
+        assert stats["method"] == ("branch-and-bound" if method == "bb" else "oracle")
+        if method != "bb":
+            assert stats["nodes_explored"] == 2 ** 5
+        assert stats["nodes_explored"] > 0 and stats["elapsed_s"] >= 0
+
+
 def test_graph_from_edge_list_file(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text("5 4\n0 1\n1 2\n2 3\n3 4\n")
@@ -136,6 +153,23 @@ def test_generate_oversized_order_rejected_fast(capsys):
         rc, out, err = run(capsys, "generate", "--family", spec)
         assert time.monotonic() - t0 < 1.0, spec
         assert rc == 2 and out == "" and "64" in err, spec
+
+
+def test_verify_k_bounded_before_allocation(capsys):
+    t0 = time.monotonic()
+    rc, out, err = run(capsys, "verify", "--theorems", "lem-kgamma",
+                       "--corpus", "all_labeled(2)", "--k", "1..1000000000")
+    assert time.monotonic() - t0 < 0.05
+    assert rc == 2 and out == ""
+    assert err == ("error: k values must be <= 65 (graphs have at most 64 vertices), "
+                   "got 1000000000\n")
+    for spec in ("3,66", "65..66", "0..3", "-1000000000..3"):
+        rc, out, err = run(capsys, "verify", "--theorems", "lem-kgamma",
+                           "--corpus", "all_labeled(2)", f"--k={spec}")
+        assert rc == 2 and out == "" and err.startswith("error: k values must be"), spec
+    rc, out, _ = run(capsys, "verify", "--theorems", "lem-kgamma",
+                     "--corpus", "all_labeled(2)", "--k", "64..65")
+    assert rc == 0 and "pass" in out
 
 
 def test_verify_pass(capsys):

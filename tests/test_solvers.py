@@ -145,6 +145,21 @@ def test_oracle_witness_is_lexicographically_least():
             assert res.witness == min(optimal)
 
 
+def test_bb_witness_is_first_optimum_in_branching_order():
+    rng = random.Random(77)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        p = rng.choice((0.2, 0.4, 0.7))
+        g = Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+        degs = g.degrees()
+        order = sorted(range(n), key=lambda v: (-degs[v], v))
+        for k in (1, 2, 3):
+            res = limited_packing_bb(g, k)
+            optimal = [m for m in range(1 << n)
+                       if m.bit_count() == res.value and is_k_limited_packing(g, k, m)]
+            assert res.witness == max(optimal, key=lambda m: [m >> v & 1 for v in order])
+
+
 def test_min_problem_witnesses_are_feasible():
     for g in enumerate_labeled_graphs(4):
         r = domination_number(g)
