@@ -20,6 +20,7 @@ from itertools import product
 from typing import Callable, Iterable
 
 from . import bounds, solvers
+from .corpus import labeled_class
 from .extremal import (check_Lk_equals_k, construct_comb, construct_diam2,
                        construct_family, construct_spider,
                        construct_tree_prescribed, is_spider_below_max_degree,
@@ -42,17 +43,17 @@ class GraphFacts:
     """Lazily computed exact parameters for one graph.
 
     Solver policy is limited_packing_number's default: subset oracle through
-    12 vertices, branch and bound beyond.
+    12 vertices, branch and bound beyond.  run_campaign evaluates one graph
+    per isomorphism class of order <= 6, so evaluators read only invariants.
     """
 
-    __slots__ = ("g", "n", "_g6", "_profile", "_comp", "_lk", "_lk_bar",
+    __slots__ = ("g", "n", "_profile", "_comp", "_lk", "_lk_bar",
                  "_gamma", "_rho0", "_gamma_t", "_eq_k", "_ng_eq",
                  "_class_g", "_class_t", "_spider")
 
     def __init__(self, g: Graph):
         self.g = g
         self.n = g.n
-        self._g6 = None
         self._profile = None
         self._comp = None
         self._lk: dict[int, int] = {}
@@ -65,12 +66,6 @@ class GraphFacts:
         self._class_g = _UNSET
         self._class_t = _UNSET
         self._spider = _UNSET
-
-    @property
-    def graph6(self) -> str:
-        if self._g6 is None:
-            self._g6 = emit_graph6(self.g)
-        return self._g6
 
     @property
     def profile(self):
@@ -556,6 +551,13 @@ class CampaignReport:
     corpus_spec: str
     k_range: list[int]
     verdicts: list[TheoremVerdict]
+    # not in the report: corpus graphs, and how many ran the evaluators
+    graphs: int = 0
+    classes_evaluated: int = 0
+
+    @property
+    def class_hits(self) -> int:
+        return self.graphs - self.classes_evaluated
 
     @property
     def failed(self) -> bool:
@@ -573,33 +575,28 @@ class CampaignReport:
         return json.dumps(self.as_dict(), indent=2) + "\n"
 
 
-class _Acc:
-    __slots__ = ("graphs", "substantive", "positives", "violations")
-
-    def __init__(self):
-        self.graphs = 0
-        self.substantive = 0
-        self.positives = 0
-        self.violations = []
-
-
-def _absorb(acc: _Acc, out: Outcome, facts: GraphFacts, k: int | None) -> None:
-    if not out.substantive:
-        return
-    acc.substantive += 1
-    if out.positive:
-        acc.positives += 1
-    if out.detail is not None:
-        acc.violations.append({"graph6": facts.graph6, "k": k, "detail": out.detail})
+def _rows(evs: list[Evaluator], facts: GraphFacts, ks: list[int], interned: dict) -> tuple:
+    """One interned row (substantive, positives, ((k, detail), ...)) per evaluator."""
+    rows = []
+    for ev in evs:
+        outs = [(None, ev.fn(facts))] if ev.kind == "once" else [(k, ev.fn(facts, k)) for k in ks]
+        outs = [(k, out) for k, out in outs if out.substantive]
+        row = (len(outs), sum(1 for _, out in outs if out.positive),
+               tuple((k, out.detail) for k, out in outs if out.detail is not None))
+        rows.append(interned.setdefault(row, row))
+    return tuple(rows)
 
 
-def _apply(acc: _Acc, ev: Evaluator, facts: GraphFacts, ks: list[int]) -> None:
-    acc.graphs += 1
-    if ev.kind == "once":
-        _absorb(acc, ev.fn(facts), facts, None)
-    else:
-        for k in ks:
-            _absorb(acc, ev.fn(facts, k), facts, k)
+def _tally(verdicts: list[TheoremVerdict], rows: tuple, g: Graph) -> None:
+    g6 = None
+    for v, (substantive, positives, bad) in zip(verdicts, rows):
+        v.graphs_checked += 1
+        v.substantive_checks += substantive
+        v.positive_cases += positives
+        for k, detail in bad:
+            if g6 is None:
+                g6 = emit_graph6(g)
+            v.violations.append({"graph6": g6, "k": k, "detail": detail})
 
 
 def _violation_key(v: dict):
@@ -613,6 +610,11 @@ def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
 
     corpus is any iterable of Graph; a Corpus object contributes its spec
     string to the report (override with corpus_spec for ad hoc iterables).
+
+    Per-graph evaluators run once per isomorphism class of order <= 6
+    (corpus.labeled_class); later members reuse the class's counts and details
+    under their own graph6.  So evaluators, custom registry ones included, must
+    depend only on isomorphism invariants; the graph6 comes from the record.
     """
     registry = REGISTRY if registry is None else registry
     ids = list(dict.fromkeys(theorem_ids))
@@ -623,34 +625,41 @@ def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
     if any(k < 1 for k in ks):
         raise ValueError("k values must be >= 1")
 
-    accs = {tid: _Acc() for tid in ids}
-    per_graph = [(tid, registry[tid]) for tid in ids if registry[tid].kind != "standalone"]
+    verdicts = {tid: TheoremVerdict(tid, 0, 0, 0, []) for tid in ids}
+    per_graph = [tid for tid in ids if registry[tid].kind != "standalone"]
+    evs, targets = [registry[tid] for tid in per_graph], [verdicts[tid] for tid in per_graph]
+    interned: dict = {}
+    by_class: dict = {}
+    graphs = evaluated = 0
     if per_graph:
         for g in corpus:
-            facts = GraphFacts(g)
-            for tid, ev in per_graph:
-                _apply(accs[tid], ev, facts, ks)
+            graphs += 1
+            key = labeled_class(g)
+            rows = by_class.get(key)
+            if rows is None:
+                evaluated += 1
+                rows = _rows(evs, GraphFacts(g), ks, interned)
+                if key is not None:
+                    by_class[key] = rows
+            _tally(targets, rows, g)
     for tid in ids:
         ev = registry[tid]
         if ev.kind == "standalone":
             checked, substantive, positives, violations = ev.runner()
-            acc = accs[tid]
-            acc.graphs += checked
-            acc.substantive += substantive
-            acc.positives += positives
-            acc.violations.extend(violations)
+            v = verdicts[tid]
+            v.graphs_checked += checked
+            v.substantive_checks += substantive
+            v.positive_cases += positives
+            v.violations.extend(violations)
         elif ev.supplements is not None:
             for g in ev.supplements():
-                _apply(accs[tid], ev, GraphFacts(g), ks)
+                _tally([verdicts[tid]], _rows([ev], GraphFacts(g), ks, interned), g)
 
-    verdicts = [
-        TheoremVerdict(tid, accs[tid].graphs, accs[tid].substantive,
-                       accs[tid].positives,
-                       sorted(accs[tid].violations, key=_violation_key))
-        for tid in sorted(accs)
-    ]
+    for v in verdicts.values():
+        v.violations.sort(key=_violation_key)
     spec_text = corpus_spec if corpus_spec is not None else getattr(corpus, "spec", "custom")
-    return CampaignReport(spec_text, ks, verdicts)
+    return CampaignReport(spec_text, ks, [verdicts[tid] for tid in sorted(verdicts)],
+                          graphs, evaluated)
 
 
 def replay_violation(theorem_id: str, graph6: str, k: int | None = None,

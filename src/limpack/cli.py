@@ -178,7 +178,9 @@ def cmd_verify(args) -> int:
         if not ids:
             raise ValueError("no theorem ids given")
     corpus = parse_corpus_spec(args.corpus, default_seed=args.seed)
+    t0 = time.perf_counter()
     report = run_campaign(ids, corpus, _parse_k_list(args.k))
+    elapsed = time.perf_counter() - t0
     for v in report.verdicts:
         print(f"{v.theorem_id}: {v.status} (graphs={v.graphs_checked}, "
               f"substantive={v.substantive_checks}, positives={v.positive_cases}, "
@@ -190,6 +192,11 @@ def cmd_verify(args) -> int:
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(report.to_json())
+    if args.stats:
+        print(json.dumps({"graphs": report.graphs,
+                          "classes_evaluated": report.classes_evaluated,
+                          "class_hits": report.class_hits,
+                          "elapsed_s": round(elapsed, 6)}), file=sys.stderr)
     return 1 if report.failed else 0
 
 
@@ -248,6 +255,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="default seed for random corpus terms that omit seed=")
     p.add_argument("--json", default=None, help="also write the report here")
+    p.add_argument("--stats", action="store_true",
+                   help="print corpus graphs, evaluator runs, class-cache hits "
+                        "and elapsed seconds as one JSON line on stderr")
     p.set_defaults(func=cmd_verify)
 
     return parser

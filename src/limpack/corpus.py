@@ -15,7 +15,9 @@ An edge is present when the next draw is below edge_prob * 2^64.
 """
 from __future__ import annotations
 
-from itertools import combinations, product
+from array import array
+from functools import cache
+from itertools import product
 from typing import Iterator
 
 from .graphs import Graph, bits
@@ -23,6 +25,7 @@ from .graphs import Graph, bits
 LABELED_LIMIT = 6
 LABELED_LIMIT_OVERRIDE = 7
 TREE_EXHAUSTIVE_LIMIT = 10
+RANDOM_LIMIT = 16
 
 _MASK64 = (1 << 64) - 1
 
@@ -156,6 +159,62 @@ def tree_canonical_key(n: int, adj_lists: list[list[int]]) -> str:
     return "".join(sorted((encode(a, b), encode(b, a))))
 
 
+@cache
+def _class_table(n: int) -> array:
+    """Class id of every edge mask of order n, numbered by least member.
+
+    Masks are walked in increasing order; each unseen one starts a class whose
+    orbit is flooded under the adjacent transpositions (v v+1), which generate
+    S_n.  A transposition permutes edge positions; it maps a mask through two
+    lookup tables, one per half of the mask.
+    """
+    pairs = edge_order(n)
+    half = len(pairs) // 2
+    moves = []
+    for v in range(n - 1):
+        swap = {v: v + 1, v + 1: v}
+        image = [1 << pairs.index(tuple(sorted((swap.get(i, i), swap.get(j, j)))))
+                 for i, j in pairs]
+        chunks = []
+        for part in (image[:half], image[half:]):
+            chunk = [0]
+            for bit in part:
+                chunk += [x | bit for x in chunk]
+            chunks.append(chunk)
+        moves.append(chunks)
+    unseen, low_bits, classes = 0xFFFF, (1 << half) - 1, 0
+    table = array("H", [unseen]) * (1 << len(pairs))
+    for mask in range(len(table)):
+        if table[mask] == unseen:
+            table[mask] = classes
+            stack = [mask]
+            while stack:
+                x = stack.pop()
+                for lo, hi in moves:
+                    y = lo[x & low_bits] | hi[x >> half]
+                    if table[y] == unseen:
+                        table[y] = classes
+                        stack.append(y)
+            classes += 1
+    return table
+
+
+def labeled_class(g: Graph) -> tuple[int, int] | None:
+    """(n, class id), equal exactly for isomorphic graphs; None above LABELED_LIMIT.
+
+    Read from an orbit table of all edge masks of order n, built on first use:
+    at n = 6 it takes about 20 ms and 64 KB, at n = 7 over a second and 4 MB.
+    """
+    n = g.n
+    if n > LABELED_LIMIT:
+        return None
+    mask = 0
+    for j in range(1, n):
+        # the edges (i, j), i < j, sit at positions j(j-1)/2 + i of edge_order
+        mask |= (g.adj[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    return n, _class_table(n)[mask]
+
+
 def graph_canonical_tree_key(g: Graph) -> str:
     adj_lists = [list(bits(nb)) for nb in g.adj]
     return tree_canonical_key(g.n, adj_lists)
@@ -195,8 +254,8 @@ def random_connected(n: int, count: int, seed: int, edge_prob: float = 0.5,
     Rejection sampling on one splitmix64 stream; raises RejectionBudgetError
     when budget consecutive draws stay disconnected (raise edge_prob).
     """
-    if not 2 <= n <= 16:
-        raise ValueError("random corpus supports 2 <= n <= 16")
+    if not 2 <= n <= RANDOM_LIMIT:
+        raise ValueError(f"random corpus supports 2 <= n <= {RANDOM_LIMIT}")
     if not 0.0 < edge_prob <= 1.0:
         raise ValueError("edge_prob must be in (0, 1]")
     threshold = int(edge_prob * (1 << 64))
@@ -255,12 +314,12 @@ class Corpus:
                     yield from enumerate_tree_classes(order)
             elif kind == "random_connected":
                 lo, hi, count, seed, prob = args
-                sizes = [lo + (i % (hi - lo + 1)) for i in range(count)]
-                per_size: dict[int, int] = {}
-                for s in sizes:
-                    per_size[s] = per_size.get(s, 0) + 1
-                for s in sorted(per_size):
-                    yield from random_connected(s, per_size[s], seed + s, prob)
+                # orders are cycled lo..hi, so the first count % span get one more
+                span = hi - lo + 1
+                for j in range(min(span, count)):
+                    s = lo + j
+                    yield from random_connected(s, count // span + (j < count % span),
+                                                seed + s, prob)
             elif kind == "file":
                 from .graphs import parse_graph6
                 with open(args) as fh:
@@ -277,23 +336,30 @@ class Corpus:
 def parse_corpus_spec(text: str, default_seed: int | None = None) -> Corpus:
     """Grammar: terms joined by '+'.
 
-    all_labeled(N)                            orders 1..N, exhaustive
-    trees(<=N) or trees(N)                    class representatives, orders 2..N
-    random_connected(n=LO..HI,COUNT,seed=S[,p=P])
+    all_labeled(N)                            orders 1..N, exhaustive, N <= 7
+    trees(<=N) or trees(N)                    class representatives, orders 2..N <= 10
+    random_connected(n=LO..HI,COUNT,seed=S[,p=P])   2 <= LO <= HI <= 16, 0 < P <= 1
     file(PATH)                                graph6 lines
 
-    default_seed fills in for a random_connected term that omits seed=.
+    default_seed fills in for a random_connected term that omits seed=.  Every
+    bound is checked here, before any graph is built.
     """
     parts = []
     for term in text.split("+"):
         term = term.strip()
         if term.startswith("all_labeled(") and term.endswith(")"):
-            parts.append(("all_labeled", int(term[12:-1])))
+            order = int(term[12:-1])
+            if not 1 <= order <= LABELED_LIMIT_OVERRIDE:
+                raise ValueError(f"all_labeled needs 1 <= N <= {LABELED_LIMIT_OVERRIDE}: {term!r}")
+            parts.append(("all_labeled", order))
         elif term.startswith("trees(") and term.endswith(")"):
             inner = term[6:-1].replace("≤", "<=").strip()
             if inner.startswith("<="):
                 inner = inner[2:]
-            parts.append(("trees", int(inner)))
+            order = int(inner)
+            if not 2 <= order <= TREE_EXHAUSTIVE_LIMIT:
+                raise ValueError(f"trees needs 2 <= N <= {TREE_EXHAUSTIVE_LIMIT}: {term!r}")
+            parts.append(("trees", order))
         elif term.startswith("random_connected(") and term.endswith(")"):
             inner = term[17:-1]
             lo = hi = count = seed = None
@@ -319,6 +385,10 @@ def parse_corpus_spec(text: str, default_seed: int | None = None) -> Corpus:
                 raise ValueError(f"random_connected needs n=, count, seed=: {term!r}")
             if hi < lo or count < 1:
                 raise ValueError(f"empty random_connected range: {term!r}")
+            if lo < 2 or hi > RANDOM_LIMIT:
+                raise ValueError(f"random_connected needs 2 <= LO <= HI <= {RANDOM_LIMIT}: {term!r}")
+            if not 0.0 < prob <= 1.0:
+                raise ValueError(f"random_connected needs 0 < p <= 1: {term!r}")
             parts.append(("random_connected", (lo, hi, count, seed, prob)))
         elif term.startswith("file(") and term.endswith(")"):
             parts.append(("file", term[5:-1]))

@@ -4,9 +4,9 @@ import json
 import pytest
 
 from limpack import Graph
-from limpack.campaign import (ALL_THEOREM_IDS, REGISTRY, Evaluator, Outcome,
-                              replay_violation, run_campaign)
-from limpack.corpus import parse_corpus_spec
+from limpack.campaign import (ALL_THEOREM_IDS, REGISTRY, Evaluator, GraphFacts,
+                              Outcome, replay_violation, run_campaign)
+from limpack.corpus import labeled_class, parse_corpus_spec
 
 EXPECTED_IDS = (
     "cor-classG",
@@ -172,3 +172,41 @@ def test_null_graph_campaign():
     # statement about connected graphs may apply to it
     report = run_campaign(ALL_THEOREM_IDS, [Graph.empty(0)], range(1, 4))
     assert not report.failed, [v.violations for v in report.verdicts if v.violations]
+
+
+def _assert_outcomes_class_invariant(order: int, ks=(1, 2, 3)):
+    """Every labeled graph's outcomes equal those of its class's first member.
+
+    run_campaign evaluates only that first member, so this is the check of
+    every labeling that the class cache leaves out.
+    """
+    per_graph = [(tid, ev) for tid, ev in REGISTRY.items() if ev.kind != "standalone"]
+    first: dict = {}
+    for g in parse_corpus_spec(f"all_labeled({order})"):
+        facts = GraphFacts(g)
+        outcomes = tuple(ev.fn(facts) if ev.kind == "once" else
+                         tuple(ev.fn(facts, k) for k in ks)
+                         for _, ev in per_graph)
+        expect = first.setdefault(labeled_class(g), outcomes)
+        for (tid, _), got, want in zip(per_graph, outcomes, expect):
+            assert got == want, (tid, g)
+
+
+def test_outcomes_class_invariant_order5():
+    _assert_outcomes_class_invariant(5)
+
+
+@pytest.mark.slow
+def test_outcomes_class_invariant_order6():
+    _assert_outcomes_class_invariant(6)
+
+
+def test_campaign_class_counts():
+    # 1 + 2 + 8 + 64 labeled graphs in 18 classes; trees(<=6) adds 13 class
+    # representatives of orders 2..6, which hit the classes above only up to
+    # order 4, and random_connected(n=7..8) is above the cached orders
+    corpus = parse_corpus_spec("all_labeled(4)+trees(<=6)+random_connected(n=7..8,4,seed=1)")
+    report = run_campaign(ALL_THEOREM_IDS, corpus, (1, 2))
+    assert report.graphs == 75 + 13 + 4
+    assert report.classes_evaluated == 18 + 9 + 4
+    assert report.class_hits == report.graphs - report.classes_evaluated

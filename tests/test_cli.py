@@ -222,3 +222,31 @@ def test_verify_seed_fills_random_term(capsys):
                      "--corpus", "random_connected(n=5..6,6)", "--k", "1",
                      "--seed", "42")
     assert rc == 0 and "pass" in out
+
+
+def test_verify_corpus_bounded_when_parsed(capsys):
+    for spec in ("all_labeled(8)", "all_labeled(0)", "trees(<=11)", "trees(≤1000000)",
+                 "random_connected(n=8..20,1000,seed=1)", "random_connected(n=1..5,5,seed=1)",
+                 "random_connected(n=5..6,0,seed=1)", "random_connected(n=5..6,5,seed=1,p=0)",
+                 "random_connected(n=5..6,5,seed=1,p=2)"):
+        t0 = time.monotonic()
+        rc, out, err = run(capsys, "verify", "--theorems", "all", "--corpus", spec,
+                           "--k", "1")
+        assert time.monotonic() - t0 < 0.05, spec
+        assert rc == 2 and out == "" and err.startswith("error: "), spec
+
+
+def test_verify_stats_on_stderr_only(tmp_path, capsys):
+    argv = ["verify", "--theorems", "all", "--corpus",
+            "all_labeled(4)+trees(<=6)+random_connected(n=7..8,4,seed=1)", "--k", "1..2"]
+    rc, plain_out, plain_err = run(capsys, *argv, "--json", str(tmp_path / "a.json"))
+    assert rc == 0 and plain_err == ""
+    rc, out, err = run(capsys, *argv, "--json", str(tmp_path / "b.json"), "--stats")
+    assert rc == 0 and out == plain_out
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    lines = err.splitlines()
+    assert len(lines) == 1
+    stats = json.loads(lines[0])
+    assert list(stats) == ["graphs", "classes_evaluated", "class_hits", "elapsed_s"]
+    assert (stats["graphs"], stats["classes_evaluated"], stats["class_hits"]) == (92, 31, 61)
+    assert stats["elapsed_s"] > 0

@@ -1,4 +1,5 @@
 """Graph enumeration, deterministic RNG, and corpus-spec parsing."""
+import random
 from itertools import islice
 
 import pytest
@@ -7,8 +8,8 @@ from limpack import Graph, bits, emit_graph6, profile
 from limpack.corpus import (RejectionBudgetError,
                             enumerate_labeled_graphs, enumerate_labeled_trees,
                             enumerate_tree_classes, graph_canonical_tree_key,
-                            parse_corpus_spec, prufer_decode, random_connected,
-                            splitmix64, tree_canonical_key)
+                            labeled_class, parse_corpus_spec, prufer_decode,
+                            random_connected, splitmix64, tree_canonical_key)
 
 LABELED_COUNTS = {1: 1, 2: 2, 3: 8, 4: 64, 5: 1024, 6: 32768}
 TREE_CLASS_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
@@ -80,6 +81,32 @@ def test_tree_canonical_key_invariance():
     assert tree_canonical_key(5, adj) == graph_canonical_tree_key(a)
 
 
+# graphs of order n up to isomorphism (OEIS A000088)
+GRAPH_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+
+
+def test_labeled_class_counts():
+    for n, expect in GRAPH_CLASS_COUNTS.items():
+        assert len({labeled_class(g) for g in enumerate_labeled_graphs(n)}) == expect
+    assert labeled_class(Graph.empty(7)) is None
+
+
+def test_labeled_class_matches_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = [Graph.from_edges(h.number_of_nodes(), h.edges())
+             for h in nx.graph_atlas_g() if 1 <= h.number_of_nodes() <= 6]
+    assert len(atlas) == 208
+    keys = [labeled_class(g) for g in atlas]
+    assert len(set(keys)) == 208
+    for seed, (g, key) in enumerate(zip(atlas, keys)):
+        rng = random.Random(seed)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            relabeled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert labeled_class(relabeled) == key
+
+
 # ---------------------------------------------------------------------------
 # deterministic RNG
 
@@ -146,6 +173,8 @@ def test_corpus_random_single_order_and_remainder():
     assert len(orders) == 10
     assert orders == sorted(orders)
     assert {o: orders.count(o) for o in (6, 7, 8)} == {6: 4, 7: 3, 8: 3}
+    # fewer graphs than orders: the lowest orders get one each
+    assert [g.n for g in parse_corpus_spec("random_connected(n=5..9,2,seed=2)")] == [5, 6]
 
 
 def test_corpus_default_seed():
@@ -166,7 +195,12 @@ def test_corpus_file_term(tmp_path):
 def test_corpus_spec_errors():
     for bad in ("", "all_labeled()", "all_labeled(3", "trees()",
                 "random_connected(100,seed=1)", "bogus(3)",
-                "random_connected(n=9..8,5,seed=1)"):
+                "random_connected(n=9..8,5,seed=1)",
+                # bounds are checked when parsed, before any graph is built
+                "all_labeled(0)", "all_labeled(8)", "trees(<=1)", "trees(≤11)",
+                "random_connected(n=1..5,5,seed=1)", "random_connected(n=8..20,5,seed=1)",
+                "random_connected(n=5..6,0,seed=1)", "random_connected(n=5..6,5,seed=1,p=0)",
+                "random_connected(n=5..6,5,seed=1,p=1.5)"):
         with pytest.raises(ValueError):
             parse_corpus_spec(bad)
 
