@@ -55,8 +55,8 @@ class AuxValues:
 class _SolvedAux:
     """gamma, L_1 and rho0 of one graph, each solved on its first read.
 
-    They are 2^n subset scans, so above the enumeration guard each reads None
-    and the entries that need it are inapplicable.
+    gamma and rho0 are refused above the companion guard (ORACLE_LIMIT), so
+    there each reads None and the entries that need it are inapplicable.
     """
 
     def __init__(self, g: Graph):
@@ -297,8 +297,8 @@ def bound_report(g: Graph, k: int, with_exact: bool = False) -> BoundReport:
     """Assemble every bound entry for (g, k).
 
     Auxiliary exact values (gamma, L_1, rho0) are solved only when an entry
-    whose other hypotheses hold reads them, and only within the enumeration
-    guard; otherwise those entries are inapplicable.
+    whose other hypotheses hold reads them, and only within the companion
+    guard (n <= ORACLE_LIMIT); otherwise those entries are inapplicable.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -20,7 +20,7 @@ from itertools import product
 from typing import Callable, Iterable
 
 from . import bounds, solvers
-from .corpus import labeled_class
+from .corpus import LABELED_LIMIT, labeled_class
 from .extremal import (check_Lk_equals_k, construct_comb, construct_diam2,
                        construct_family, construct_spider,
                        construct_tree_prescribed, is_spider_below_max_degree,
@@ -611,8 +611,9 @@ def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
     corpus is any iterable of Graph; a Corpus object contributes its spec
     string to the report (override with corpus_spec for ad hoc iterables).
 
-    Per-graph evaluators run once per isomorphism class of order <= 6
-    (corpus.labeled_class); later members reuse the class's counts and details
+    Per-graph evaluators run once per isomorphism class of order <= 6, or <= 7
+    for a corpus with an all_labeled(7) term (corpus.labeled_class,
+    Corpus.class_limit); later members reuse the class's counts and details
     under their own graph6.  So evaluators, custom registry ones included, must
     depend only on isomorphism invariants; the graph6 comes from the record.
     """
@@ -631,10 +632,11 @@ def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
     interned: dict = {}
     by_class: dict = {}
     graphs = evaluated = 0
+    class_limit = getattr(corpus, "class_limit", LABELED_LIMIT)
     if per_graph:
         for g in corpus:
             graphs += 1
-            key = labeled_class(g)
+            key = labeled_class(g, class_limit)
             rows = by_class.get(key)
             if rows is None:
                 evaluated += 1

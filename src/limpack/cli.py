@@ -72,37 +72,49 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _timed_solve(solve) -> tuple[solvers.SolveResult, dict]:
+    """solve() and its {method, nodes_explored, elapsed_s} record for --stats."""
+    t0 = time.perf_counter()
+    res = solve()
+    elapsed = time.perf_counter() - t0
+    return res, {"method": res.method, "nodes_explored": res.nodes_explored,
+                 "elapsed_s": round(elapsed, 6)}
+
+
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
-    t0 = time.perf_counter()
-    res = solvers.limited_packing_number(g, args.k, method=args.method)
-    elapsed = time.perf_counter() - t0
+    res, stats = _timed_solve(lambda: solvers.limited_packing_number(g, args.k, method=args.method))
     print(res.value)
     if args.witness:
         print(" ".join(str(v) for v in res.witness_vertices()))
     if args.stats:
-        print(json.dumps({"method": res.method, "nodes_explored": res.nodes_explored,
-                          "elapsed_s": round(elapsed, 6)}), file=sys.stderr)
+        print(json.dumps(stats), file=sys.stderr)
     return 0
 
 
 def cmd_params(args) -> int:
     g = _load_graph(args.graph)
     p = profile(g)
-    try:
-        gamma_t = solvers.total_domination_number(g).value
-    except solvers.UndefinedParameterError:
-        gamma_t = None
+    solves = {
+        "L1": lambda: solvers.limited_packing_number(g, 1),
+        "L2": lambda: solvers.limited_packing_number(g, 2),
+        "L3": lambda: solvers.limited_packing_number(g, 3),
+        "rho0": lambda: solvers.open_packing_number(g),
+        "gamma": lambda: solvers.domination_number(g),
+        "gamma_t": lambda: solvers.total_domination_number(g),
+    }
+    values, stats = {}, {}
+    for name, solve in solves.items():
+        try:
+            res, stats[name] = _timed_solve(solve)
+            values[name] = res.value
+        except solvers.UndefinedParameterError:  # gamma_t with an isolated vertex
+            values[name] = stats[name] = None
     _emit({
         "graph6": emit_graph6(g),
         "n": g.n,
         "m": g.edge_count(),
-        "L1": solvers.limited_packing_number(g, 1).value,
-        "L2": solvers.limited_packing_number(g, 2).value,
-        "L3": solvers.limited_packing_number(g, 3).value,
-        "rho0": solvers.open_packing_number(g).value,
-        "gamma": solvers.domination_number(g).value,
-        "gamma_t": gamma_t,
+        **values,
         "profile": {
             "connected": p.connected,
             "is_tree": p.is_tree,
@@ -115,6 +127,8 @@ def cmd_params(args) -> int:
             "every_edge_on_triangle": p.every_edge_on_triangle,
         },
     })
+    if args.stats:
+        print(json.dumps(stats), file=sys.stderr)
     return 0
 
 
@@ -220,6 +234,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="exact parameter panel for one graph")
     p.add_argument("--graph", required=True)
+    p.add_argument("--stats", action="store_true",
+                   help="print method, nodes explored and elapsed seconds of each "
+                        "solved parameter as one JSON line on stderr")
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("bounds", help="every applicable bound at the given k")

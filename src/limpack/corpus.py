@@ -199,14 +199,16 @@ def _class_table(n: int) -> array:
     return table
 
 
-def labeled_class(g: Graph) -> tuple[int, int] | None:
-    """(n, class id), equal exactly for isomorphic graphs; None above LABELED_LIMIT.
+def labeled_class(g: Graph, limit: int = LABELED_LIMIT) -> tuple[int, int] | None:
+    """(n, class id), equal exactly for isomorphic graphs; None above limit (at most 7).
 
     Read from an orbit table of all edge masks of order n, built on first use:
-    at n = 6 it takes about 20 ms and 64 KB, at n = 7 over a second and 4 MB.
+    at n = 6 it takes about 20 ms and 64 KB, at n = 7 about a second and 4 MB,
+    which pays only for a corpus holding every labeled graph of order 7
+    (Corpus.class_limit).
     """
     n = g.n
-    if n > LABELED_LIMIT:
+    if n > limit:
         return None
     mask = 0
     for j in range(1, n):
@@ -303,6 +305,8 @@ class Corpus:
     def __init__(self, spec: str, parts: list):
         self.spec = spec
         self._parts = parts
+        # the order-7 orbit table (2^21 masks) is built only for all_labeled(7)
+        self.class_limit = max([LABELED_LIMIT] + [n for kind, n in parts if kind == "all_labeled"])
 
     def __iter__(self) -> Iterator[Graph]:
         for kind, args in self._parts:

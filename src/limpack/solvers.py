@@ -1,11 +1,11 @@
 """Exact solvers for limited packing, open packing, and domination numbers.
 
 Two exact routes for the k-limited packing number: a subset-enumeration oracle
-(guarded to n <= 24) and a branch-and-bound search, pruned by the residual
-cover bound, that handles any graph the package admits.  Both are
+(guarded to n <= 24) and branch and bound, which handles any graph the package
+admits.  The companion parameters rho0, gamma and gamma_t go through the same
+branch-and-bound engine, under the same n <= 24 guard as the oracle.  All are
 deterministic: the oracle returns the smallest bitmask among maximum
-solutions, branch and bound the lexicographically greatest one in its
-branching order (descending degree, ties by index).
+solutions, branch and bound the first optimum in its search order.
 """
 from __future__ import annotations
 
@@ -17,7 +17,8 @@ ORACLE_LIMIT = 24
 
 
 class OracleLimitError(ValueError):
-    """Subset enumeration refused; use limited_packing_bb for larger orders."""
+    """Order above ORACLE_LIMIT for the oracle or a companion parameter;
+    use limited_packing_bb for larger orders."""
 
 
 class UndefinedParameterError(ValueError):
@@ -76,48 +77,81 @@ def limited_packing_oracle(g: Graph, k: int) -> SolveResult:
     return SolveResult(best, best_mask, 1 << n, "oracle")
 
 
-def limited_packing_bb(g: Graph, k: int) -> SolveResult:
-    """Maximum k-limited packing by branch and bound (any n <= 64).
+def _search(rows: list[int], cap: int, sense: str) -> SolveResult:
+    """Branch and bound over vertex sets S, given symmetric rows (v in rows[u] iff u in rows[v]).
 
-    Branches on vertices in descending-degree order (ties by index), include
-    before exclude.  Residual capacities track k minus the hits on each
-    closed neighbourhood; once one is exhausted, every vertex of that
-    neighbourhood is blocked.  The free vertices are the undecided, unblocked
-    ones, and a branch dies when the packing so far plus a bound on how many
-    free vertices can join cannot beat the incumbent.  Two bounds are tried
-    in turn: the count of free vertices, then the residual cover bound, the
-    local form of L_k <= k * gamma.  The cover bound splits the free vertices
-    into parts inside closed neighbourhoods N[w], each holding at most
-    min(|part|, capacity of w) packing vertices: in branching order, every w
-    with more free vertices in N[w] than capacity takes them as a part, and
-    each free vertex left over is a part of its own.
+    sense "max" (packing): the largest S meeting every row in at most cap
+    vertices.  Branches on vertices by descending row size (ties by index),
+    include before exclude.  Residual capacities track cap minus the hits on
+    each row; once one is exhausted, every vertex of that row is blocked.
+    The free vertices are the undecided, unblocked ones, and a branch dies
+    when the set so far plus a bound on how many free vertices can join
+    cannot beat the incumbent.  Two bounds are tried in turn: the count of
+    free vertices, then the residual cover bound (with closed rows, the
+    local form of L_k <= k * gamma).  It splits the free vertices into parts
+    inside rows, each holding at most min(|part|, capacity of the row): in
+    branching order, every row with more free vertices than capacity takes
+    them as a part, and each free vertex left over is a part of its own.
 
-    The witness is the first maximum packing in search order, i.e. the
-    lexicographically greatest optimum in branching order; no valid bound
-    prunes it, so the bounds change only nodes_explored.
+    sense "min" (cover; cap is 1): the smallest S meeting every row.  Each
+    node branches on the uncovered vertex with the fewest candidates (row
+    vertices not yet excluded; ties by index), choosing each candidate in
+    turn by descending number of uncovered vertices it covers (ties by
+    index) and excluding it from the later branches, so the first descent is
+    a greedy cover and the first incumbent.  The packing lower bound prunes:
+    uncovered vertices with pairwise disjoint candidate sets, taken greedily
+    by fewest candidates, each need their own vertex of S (the local form of
+    gamma >= rho).
+
+    The witness is the first optimum in search order; no valid bound prunes
+    it, so the bounds change only nodes_explored.
     """
-    _check_k(k)
-    n = g.n
-    if n == 0:
-        return SolveResult(0, 0, 0, "branch-and-bound")
-    degs = g.degrees()
-    if k > max(degs):
-        # every closed neighbourhood has at most max_degree + 1 <= k vertices
-        return SolveResult(n, g.full_mask, 0, "branch-and-bound")
+    n = len(rows)
+    sizes = [row.bit_count() for row in rows]
+    nodes = 0
+    if sense == "min":
+        best = n + 1
+        best_mask = 0
 
-    order = sorted(range(n), key=lambda v: (-degs[v], v))
-    closed = g.closed
-    # only an N[w] with more than k vertices can hold more free vertices than
-    # w's capacity: each packing vertex that spent some of it is not free
-    hubs = [(w, closed[w]) for w in order if degs[w] >= k]
+        def cover(chosen: int, chosen_mask: int, uncovered: int, excluded: int) -> None:
+            nonlocal best, best_mask, nodes
+            nodes += 1
+            if not uncovered:
+                best, best_mask = chosen, chosen_mask
+                return
+            allowed = ~excluded
+            cands = sorted((rows[u] & allowed for u in bits(uncovered)), key=int.bit_count)
+            if not cands[0]:
+                return
+            need = 0
+            used = 0
+            for c in cands:
+                if not c & used:
+                    need += 1
+                    used |= c
+            if chosen + need >= best:
+                return
+            for x in sorted(bits(cands[0]), key=lambda x: -(rows[x] & uncovered).bit_count()):
+                cover(chosen + 1, chosen_mask | (1 << x), uncovered & ~rows[x], excluded)
+                excluded |= 1 << x
+
+        cover(0, 0, (1 << n) - 1, 0)
+        return SolveResult(best, best_mask, nodes, "branch-and-bound")
+
+    if all(size <= cap for size in sizes):
+        # no row can exceed its cap, even with every vertex chosen
+        return SolveResult(n, (1 << n) - 1, 0, "branch-and-bound")
+    order = sorted(range(n), key=lambda v: (-sizes[v], v))
+    # only a row with more than cap vertices can hold more free vertices than
+    # its capacity: each chosen vertex that spent some of it is not free
+    hubs = [(w, rows[w]) for w in order if sizes[w] > cap]
     rest = [0] * (n + 1)  # rest[pos]: mask of order[pos:]
     for pos in range(n - 1, -1, -1):
         rest[pos] = rest[pos + 1] | (1 << order[pos])
     best = 0
     best_mask = 0
-    nodes = 0
-    caps = [k] * n
-    blocked = 0  # vertices whose closed neighbourhood meets an exhausted one
+    caps = [cap] * n
+    blocked = 0  # vertices in some exhausted row
 
     def walk(pos: int, chosen: int, chosen_mask: int) -> None:
         nonlocal best, best_mask, nodes, blocked
@@ -129,27 +163,39 @@ def limited_packing_bb(g: Graph, k: int) -> SolveResult:
         if chosen + free.bit_count() <= best:
             return
         bound = chosen
-        for w, cw in hubs:
-            if (cw & free).bit_count() > caps[w]:
+        for w, rw in hubs:
+            if (rw & free).bit_count() > caps[w]:
                 bound += caps[w]
-                free &= ~cw
+                free &= ~rw
         if bound + free.bit_count() <= best:
             return
         v = order[pos]
         if not (blocked >> v) & 1:
             saved = blocked
-            for u in bits(closed[v]):
+            for u in bits(rows[v]):
                 caps[u] -= 1
                 if caps[u] == 0:
-                    blocked |= closed[u]
+                    blocked |= rows[u]
             walk(pos + 1, chosen + 1, chosen_mask | (1 << v))
             blocked = saved
-            for u in bits(closed[v]):
+            for u in bits(rows[v]):
                 caps[u] += 1
         walk(pos + 1, chosen, chosen_mask)
 
     walk(0, 0, 0)
     return SolveResult(best, best_mask, nodes, "branch-and-bound")
+
+
+def limited_packing_bb(g: Graph, k: int) -> SolveResult:
+    """Maximum k-limited packing by branch and bound (any n <= 64).
+
+    The packing search over closed neighbourhoods with cap k: branching in
+    descending-degree order, pruned by the residual cover bound.  The
+    witness is the first maximum packing in search order, i.e. the
+    lexicographically greatest optimum in branching order.
+    """
+    _check_k(k)
+    return _search(g.closed, k, "max")
 
 
 def limited_packing_number(g: Graph, k: int, method: str = "auto") -> SolveResult:
@@ -166,11 +212,11 @@ def limited_packing_number(g: Graph, k: int, method: str = "auto") -> SolveResul
 
 
 # ---------------------------------------------------------------------------
-# companion parameters, all by subset enumeration (n <= 24)
+# companion parameters, by the same branch and bound (n <= 24)
 
-def _enumeration_guard(g: Graph, what: str) -> None:
+def _order_guard(g: Graph, what: str) -> None:
     if g.n > ORACLE_LIMIT:
-        raise OracleLimitError(f"{what} enumerates 2^{g.n} subsets; capped at n <= {ORACLE_LIMIT}")
+        raise OracleLimitError(f"{what} is capped at n <= {ORACLE_LIMIT}, got n = {g.n}")
 
 
 def is_open_packing(g: Graph, mask: int) -> bool:
@@ -197,70 +243,19 @@ def is_total_dominating_set(g: Graph, mask: int) -> bool:
 
 def open_packing_number(g: Graph) -> SolveResult:
     """Maximum open packing (|N(v) & S| <= 1 for every v)."""
-    _enumeration_guard(g, "open packing")
-    n = g.n
-    adj = sorted(g.adj, key=lambda nb: -nb.bit_count())
-    best = -1
-    best_mask = 0
-    for m in range(1 << n):
-        for nb in adj:
-            if (nb & m).bit_count() > 1:
-                break
-        else:
-            s = m.bit_count()
-            if s > best:
-                best = s
-                best_mask = m
-    return SolveResult(best, best_mask, 1 << n, "oracle")
+    _order_guard(g, "open packing")
+    return _search(g.adj, 1, "max")
 
 
 def domination_number(g: Graph) -> SolveResult:
     """Minimum dominating set (closed neighbourhoods of the set cover V)."""
-    _enumeration_guard(g, "domination")
-    n = g.n
-    closed = g.closed
-    full = g.full_mask
-    best = n + 1
-    best_mask = full
-    for m in range(1 << n):
-        if m.bit_count() >= best:
-            continue
-        cover = 0
-        mm = m
-        while mm:
-            low = mm & -mm
-            cover |= closed[low.bit_length() - 1]
-            mm ^= low
-        if cover == full:
-            best = m.bit_count()
-            best_mask = m
-    if n == 0:
-        best, best_mask = 0, 0
-    return SolveResult(best, best_mask, 1 << n, "oracle")
+    _order_guard(g, "domination")
+    return _search(g.closed, 1, "min")
 
 
 def total_domination_number(g: Graph) -> SolveResult:
     """Minimum total dominating set; undefined when the graph has an isolated vertex."""
-    _enumeration_guard(g, "total domination")
-    n = g.n
-    if n == 0:
-        return SolveResult(0, 0, 1, "oracle")
+    _order_guard(g, "total domination")
     if any(nb == 0 for nb in g.adj):
         raise UndefinedParameterError("total domination undefined: graph has an isolated vertex")
-    adj = g.adj
-    full = g.full_mask
-    best = n + 1
-    best_mask = full
-    for m in range(1 << n):
-        if m.bit_count() >= best:
-            continue
-        cover = 0
-        mm = m
-        while mm:
-            low = mm & -mm
-            cover |= adj[low.bit_length() - 1]
-            mm ^= low
-        if cover == full:
-            best = m.bit_count()
-            best_mask = m
-    return SolveResult(best, best_mask, 1 << n, "oracle")
+    return _search(g.adj, 1, "min")

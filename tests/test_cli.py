@@ -46,6 +46,25 @@ def test_solve_stats_on_stderr_only(capsys):
         assert stats["nodes_explored"] > 0 and stats["elapsed_s"] >= 0
 
 
+def test_params_stats_on_stderr_only(capsys):
+    for graph in ("DhC", "Ds?"):            # C_5, and K_1,3 + K_1 with no gamma_t
+        rc, plain_out, plain_err = run(capsys, "params", "--graph", graph)
+        assert rc == 0 and plain_err == ""
+        rc, out, err = run(capsys, "params", "--graph", graph, "--stats")
+        assert rc == 0 and out == plain_out
+        lines = err.splitlines()
+        assert len(lines) == 1
+        stats = json.loads(lines[0])
+        assert list(stats) == ["L1", "L2", "L3", "rho0", "gamma", "gamma_t"]
+        for name, entry in stats.items():
+            if entry is None:
+                assert name == "gamma_t" and json.loads(out)["gamma_t"] is None
+                continue
+            assert list(entry) == ["method", "nodes_explored", "elapsed_s"]
+            assert entry["method"] == ("oracle" if name[0] == "L" else "branch-and-bound")
+            assert entry["nodes_explored"] >= 0 and entry["elapsed_s"] >= 0
+
+
 def test_graph_from_edge_list_file(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text("5 4\n0 1\n1 2\n2 3\n3 4\n")

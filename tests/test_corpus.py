@@ -4,7 +4,9 @@ from itertools import islice
 
 import pytest
 
+import limpack.corpus as corpus_mod
 from limpack import Graph, bits, emit_graph6, profile
+from limpack.campaign import run_campaign
 from limpack.corpus import (RejectionBudgetError,
                             enumerate_labeled_graphs, enumerate_labeled_trees,
                             enumerate_tree_classes, graph_canonical_tree_key,
@@ -105,6 +107,37 @@ def test_labeled_class_matches_atlas():
             rng.shuffle(perm)
             relabeled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
             assert labeled_class(relabeled) == key
+
+
+@pytest.mark.slow
+def test_labeled_class_order7_matches_atlas():
+    nx = pytest.importorskip("networkx")
+    keys = {labeled_class(g, 7) for g in enumerate_labeled_graphs(7, allow_large=True)}
+    assert len(keys) == 1044
+    atlas = [Graph.from_edges(7, h.edges()) for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
+    assert len(atlas) == 1044
+    assert {labeled_class(g, 7) for g in atlas} == keys
+
+    class Order7(list):                      # a corpus keyed like all_labeled(7)
+        class_limit = 7
+    path = Graph.from_edges(7, [(v, v + 1) for v in range(6)])
+    perm = [3, 5, 0, 6, 1, 4, 2]
+    relabeled = Graph.from_edges(7, [(perm[u], perm[v]) for u, v in path.edges()])
+    report = run_campaign(["cor-diam-le-2"], Order7([path, relabeled]), [1])
+    assert (report.classes_evaluated, report.class_hits) == (1, 1)
+
+
+def test_order7_table_only_for_all_labeled_7(monkeypatch):
+    assert parse_corpus_spec("all_labeled(7)").class_limit == 7
+    for spec in ("all_labeled(6)+trees(<=9)", "trees(<=9)+random_connected(n=7..8,5,seed=1)",
+                 "all_labeled(3)"):
+        assert parse_corpus_spec(spec).class_limit == 6
+    built = []
+    real = corpus_mod._class_table
+    monkeypatch.setattr(corpus_mod, "_class_table", lambda n: built.append(n) or real(n))
+    report = run_campaign(["cor-diam-le-2"], parse_corpus_spec("all_labeled(3)+trees(<=8)"), [1])
+    assert report.graphs == 1 + 2 + 8 + sum(TREE_CLASS_COUNTS[n] for n in range(2, 9))
+    assert built and 7 not in built         # trees of order 7 and 8 run graph by graph
 
 
 # ---------------------------------------------------------------------------
