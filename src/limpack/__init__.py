@@ -15,8 +15,8 @@ from .bounds import (AuxValues, BoundEntry, BoundReport, NGReport,
                      RegularEqualityResult, bound_report, closed_form,
                      ng_lower_equality_condition, nordhaus_gaddum,
                      regular_equality_check, small_order_value)
-from .campaign import (ALL_THEOREM_IDS, REGISTRY, CampaignReport, GraphFacts,
-                       Outcome, TheoremVerdict, replay_violation, run_campaign)
+from .campaign import (ALL_THEOREM_IDS, REGISTRY, CampaignReport, Outcome,
+                       TheoremVerdict, replay_violation, run_campaign)
 from .corpus import (Corpus, RejectionBudgetError, enumerate_labeled_graphs,
                      enumerate_labeled_trees, enumerate_tree_classes,
                      graph_canonical_tree_key, parse_corpus_spec, prufer_decode,
@@ -31,7 +31,7 @@ from .graphs import (MAX_VERTICES, Graph, GraphFormatError, GraphProfile, bits,
                      complement, disjoint_union, emit_graph6, format_edge_list,
                      induced_subgraph, mask_of, parse_edge_list, parse_graph6,
                      profile)
-from .solvers import (ORACLE_LIMIT, OracleLimitError, SolveResult,
+from .solvers import (ORACLE_LIMIT, GraphFacts, OracleLimitError, SolveResult,
                       UndefinedParameterError, domination_number,
                       is_dominating_set, is_k_limited_packing, is_open_packing,
                       is_total_dominating_set, limited_packing_bb,
@@ -43,7 +43,8 @@ __all__ = [
     "MAX_VERTICES", "Graph", "GraphFormatError", "GraphProfile", "bits",
     "complement", "disjoint_union", "emit_graph6", "format_edge_list",
     "induced_subgraph", "mask_of", "parse_edge_list", "parse_graph6", "profile",
-    "ORACLE_LIMIT", "OracleLimitError", "SolveResult", "UndefinedParameterError",
+    "ORACLE_LIMIT", "GraphFacts", "OracleLimitError", "SolveResult",
+    "UndefinedParameterError",
     "domination_number", "is_dominating_set", "is_k_limited_packing",
     "is_open_packing", "is_total_dominating_set", "limited_packing_bb",
     "limited_packing_number", "limited_packing_oracle", "open_packing_number",
@@ -61,6 +62,6 @@ __all__ = [
     "enumerate_labeled_trees", "enumerate_tree_classes",
     "graph_canonical_tree_key", "parse_corpus_spec", "prufer_decode",
     "random_connected", "splitmix64",
-    "ALL_THEOREM_IDS", "REGISTRY", "CampaignReport", "GraphFacts", "Outcome",
+    "ALL_THEOREM_IDS", "REGISTRY", "CampaignReport", "Outcome",
     "TheoremVerdict", "replay_violation", "run_campaign",
 ]

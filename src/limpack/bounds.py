@@ -3,18 +3,18 @@
 Each bound is one Bound row of the BOUNDS table: its hypothesis, its value as
 a rational, and the statement it belongs to.  bound_report lists the rows as
 BoundEntry records whose hypothesis was actually checked against the graph
-profile; entries whose hypothesis fails (or whose auxiliary exact values were
-not supplied) carry applicable=False and no value.  The campaign derives its
+profile; entries whose hypothesis fails (or whose auxiliary exact values are
+not known) carry applicable=False and no value.  The campaign derives its
 evaluators for the same statements from the same rows.  Bounds derived from
-gamma, L_1, or rho0 read them from an aux object: bound_report solves each on
-its first read, the campaign reads its GraphFacts, and callers may pass the
-values in through AuxValues.
+gamma, L_1, or rho0 read them from an aux object: bound_report and the
+campaign both pass a solvers.GraphFacts, which solves each on its first read,
+and bound_report passes AuxValues() above the companion guard, where none of
+them is known.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Callable
 
@@ -46,36 +46,10 @@ class BoundEntry:
 
 @dataclass(frozen=True)
 class AuxValues:
-    """Exact companion parameters supplied by the caller (solver outputs)."""
+    """Exact companion parameters, None where not known (AuxValues() knows none)."""
     gamma: int | None = None
     l1: int | None = None
     rho0: int | None = None
-
-
-class _SolvedAux:
-    """gamma, L_1 and rho0 of one graph, each solved on its first read.
-
-    gamma and rho0 are refused above the companion guard (ORACLE_LIMIT), so
-    there each reads None and the entries that need it are inapplicable.
-    """
-
-    def __init__(self, g: Graph):
-        self._g = g
-
-    def _solve(self, solver) -> int | None:
-        return solver(self._g).value if self._g.n <= solvers.ORACLE_LIMIT else None
-
-    @cached_property
-    def gamma(self) -> int | None:
-        return self._solve(solvers.domination_number)
-
-    @cached_property
-    def l1(self) -> int | None:
-        return self._solve(lambda g: solvers.limited_packing_number(g, 1))
-
-    @cached_property
-    def rho0(self) -> int | None:
-        return self._solve(solvers.open_packing_number)
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +57,7 @@ class _SolvedAux:
 
 def closed_form(family: str, params, k: int) -> int:
     """Exact L_k for paths, cycles, complete, and complete bipartite graphs."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    solvers._check_k(k)
     if family == "path":
         n = int(params)
         if n < 1:
@@ -119,12 +92,12 @@ class Bound:
 
     applies, num and den take (n, p, k, aux): the order, the GraphProfile, k,
     and an object whose gamma, l1 and rho0 attributes give the exact companion
-    parameters (None when unknown; the campaign's GraphFacts solves them on
-    first read).  The value is num/den rounded inward, up for lower bounds and
-    down for upper ones; den=None marks an integral bound, and only fractional
-    bounds show their raw rational.  tie is the campaign's positive case:
-    "value" (L_k equals the value), "raw" (L_k equals num/den), or "any"
-    (every substantive check).
+    parameters (a solvers.GraphFacts solves them on first read; AuxValues
+    gives None for unknown ones).  The value is num/den rounded inward, up
+    for lower bounds and down for upper ones; den=None marks an integral
+    bound, and only fractional bounds show their raw rational.  tie is the
+    campaign's positive case: "value" (L_k equals the value), "raw" (L_k
+    equals num/den), or "any" (every substantive check).
     """
     id: str
     direction: str          # "lower" | "upper" | "exact"
@@ -254,8 +227,7 @@ def bounds_for(citation: str) -> tuple[Bound, ...]:
 
 def small_order_value(g: Graph, k: int) -> int | None:
     """Exact L_k for graphs of order at most k+1; None when the order is larger."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    solvers._check_k(k)
     p = profile(g)
     for b in bounds_for("prop-small-order") + bounds_for("prop-order-kplus1"):
         if b.applies(g.n, p, k, None):
@@ -300,10 +272,9 @@ def bound_report(g: Graph, k: int, with_exact: bool = False) -> BoundReport:
     whose other hypotheses hold reads them, and only within the companion
     guard (n <= ORACLE_LIMIT); otherwise those entries are inapplicable.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    solvers._check_k(k)
     p = profile(g)
-    aux = _SolvedAux(g)
+    aux = solvers.GraphFacts(g) if g.n <= solvers.ORACLE_LIMIT else AuxValues()
     entries = tuple(b.entry(g.n, p, k, aux) for b in BOUNDS if k in b.ks)
     exact = solvers.limited_packing_number(g, k).value if with_exact else None
     return BoundReport(emit_graph6(g), k, g.n, entries, exact)
@@ -342,6 +313,11 @@ class NGReport:
         }
 
 
+def ng_lower_bound(n: int, k: int) -> tuple[int, bool]:
+    """prop-ng-lower: (2k, whether it applies); L_k(G) + L_k(complement) >= 2k once n >= k."""
+    return 2 * k, n >= k
+
+
 def ng_upper_bound(n: int, k: int, max_degree: int, min_degree: int) -> tuple[str, int]:
     """th-ng-upper's case split: (case, bound on L_k(G) + L_k(complement))."""
     max_degree_bar = max(n - 1 - min_degree, 0)
@@ -358,11 +334,12 @@ def nordhaus_gaddum(g: Graph, k: int, method: str = "auto") -> NGReport:
     val_bar = solvers.limited_packing_number(complement(g), k, method).value
     n = g.n
     degs = g.degrees()
+    lower, lower_applicable = ng_lower_bound(n, k)
     case, upper = ng_upper_bound(n, k, max(degs, default=0), min(degs, default=0))
     return NGReport(
         graph6=emit_graph6(g), k=k, n=n,
         value=val, value_complement=val_bar, total=val + val_bar,
-        lower_bound=2 * k, lower_applicable=n >= k,
+        lower_bound=lower, lower_applicable=lower_applicable,
         upper_bound=upper, case=case,
         refinement_upper=n + 2 if k == 2 else None)
 

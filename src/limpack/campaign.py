@@ -20,120 +20,18 @@ from itertools import product
 from typing import Callable, Iterable
 
 from . import bounds, solvers
-from .corpus import LABELED_LIMIT, labeled_class
+from .corpus import CLASS_LIMIT, labeled_class
 from .extremal import (check_Lk_equals_k, construct_comb, construct_diam2,
                        construct_family, construct_spider,
                        construct_tree_prescribed, is_spider_below_max_degree,
                        recognize_class_G, recognize_class_T)
-from .graphs import Graph, complement, emit_graph6, parse_graph6, profile
+from .graphs import Graph, emit_graph6, parse_graph6, profile
+from .solvers import GraphFacts
 
 
 def _tool_version() -> str:
     from . import __version__
     return f"limpack {__version__}"
-
-
-# ---------------------------------------------------------------------------
-# per-graph fact cache
-
-_UNSET = object()
-
-
-class GraphFacts:
-    """Lazily computed exact parameters for one graph.
-
-    Solver policy is limited_packing_number's default: subset oracle through
-    12 vertices, branch and bound beyond.  run_campaign evaluates one graph
-    per isomorphism class of order <= 6, so evaluators read only invariants.
-    """
-
-    __slots__ = ("g", "n", "_profile", "_comp", "_lk", "_lk_bar",
-                 "_gamma", "_rho0", "_gamma_t", "_eq_k", "_ng_eq",
-                 "_class_g", "_class_t", "_spider")
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.n = g.n
-        self._profile = None
-        self._comp = None
-        self._lk: dict[int, int] = {}
-        self._lk_bar: dict[int, int] = {}
-        self._gamma = None
-        self._rho0 = None
-        self._gamma_t = None
-        self._eq_k: dict[int, bool] = {}
-        self._ng_eq: dict[int, bool] = {}
-        self._class_g = _UNSET
-        self._class_t = _UNSET
-        self._spider = _UNSET
-
-    @property
-    def profile(self):
-        if self._profile is None:
-            self._profile = profile(self.g)
-        return self._profile
-
-    def lk(self, k: int) -> int:
-        if k not in self._lk:
-            self._lk[k] = solvers.limited_packing_number(self.g, k).value
-        return self._lk[k]
-
-    @property
-    def l1(self) -> int:
-        return self.lk(1)
-
-    def lk_bar(self, k: int) -> int:
-        if k not in self._lk_bar:
-            if self._comp is None:
-                self._comp = complement(self.g)
-            self._lk_bar[k] = solvers.limited_packing_number(self._comp, k).value
-        return self._lk_bar[k]
-
-    @property
-    def gamma(self) -> int:
-        if self._gamma is None:
-            self._gamma = solvers.domination_number(self.g).value
-        return self._gamma
-
-    @property
-    def rho0(self) -> int:
-        if self._rho0 is None:
-            self._rho0 = solvers.open_packing_number(self.g).value
-        return self._rho0
-
-    @property
-    def gamma_t(self) -> int:
-        if self._gamma_t is None:
-            self._gamma_t = solvers.total_domination_number(self.g).value
-        return self._gamma_t
-
-    def structural_lk_eq_k(self, k: int) -> bool:
-        if k not in self._eq_k:
-            self._eq_k[k] = check_Lk_equals_k(self.g, k)
-        return self._eq_k[k]
-
-    def ng_equality(self, k: int) -> bool:
-        if k not in self._ng_eq:
-            self._ng_eq[k] = bounds.ng_lower_equality_condition(self.g, k)
-        return self._ng_eq[k]
-
-    @property
-    def class_g_witness(self):
-        if self._class_g is _UNSET:
-            self._class_g = recognize_class_G(self.g)
-        return self._class_g
-
-    @property
-    def class_t_witness(self):
-        if self._class_t is _UNSET:
-            self._class_t = recognize_class_T(self.g)
-        return self._class_t
-
-    @property
-    def spider_member(self) -> bool:
-        if self._spider is _UNSET:
-            self._spider = is_spider_below_max_degree(self.g)
-        return self._spider
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +105,6 @@ def _derived(citation: str, once_k: int | None = None) -> Evaluator:
 
 (_CHAIN,) = bounds.bounds_for("lem-monotone-chain")
 (_L1_RATIO,) = bounds.bounds_for("prop-l1-l2-sandwich")
-(_ORDER_DEGREE,) = bounds.bounds_for("th-order-degree-upper")
 _CLASS_T = bounds.bounds_for("th-classT-characterization")
 
 
@@ -234,7 +131,7 @@ def _ev_monotone_chain(f: GraphFacts, k: int) -> Outcome:
 
 def _ev_lk_eq_k_characterization(f: GraphFacts, k: int) -> Outcome:
     semantic = f.lk(k) == k
-    structural = f.structural_lk_eq_k(k)
+    structural = check_Lk_equals_k(f.g, k)
     if semantic != structural:
         return _bad(f"L_{k}={f.lk(k)} but structural test says {structural}")
     return Outcome(True, semantic)
@@ -260,15 +157,16 @@ def _ev_regular_half(f: GraphFacts, k: int) -> Outcome:
 
 
 def _ev_ng_lower(f: GraphFacts, k: int) -> Outcome:
-    if f.n < k:
+    lower, applies = bounds.ng_lower_bound(f.n, k)
+    if not applies:
         return SKIP
     total = f.lk(k) + f.lk_bar(k)
-    if total < 2 * k:
-        return _bad(f"L_{k}(G)+L_{k}(complement)={total} < 2k={2 * k}")
-    cond = f.ng_equality(k)
-    if (total == 2 * k) != cond:
-        return _bad(f"sum={total} vs 2k={2 * k}, structural equality condition={cond}")
-    return Outcome(True, total == 2 * k)
+    if total < lower:
+        return _bad(f"L_{k}(G)+L_{k}(complement)={total} < 2k={lower}")
+    cond = bounds.ng_lower_equality_condition(f.g, k)
+    if (total == lower) != cond:
+        return _bad(f"sum={total} vs 2k={lower}, structural equality condition={cond}")
+    return Outcome(True, total == lower)
 
 
 def _ev_ng_upper(f: GraphFacts, k: int) -> Outcome:
@@ -324,9 +222,9 @@ def _ev_ng_l2_n_plus_2(f: GraphFacts) -> Outcome:
 
 
 def _ev_class_g(f: GraphFacts) -> Outcome:
-    target = _ORDER_DEGREE.num(f.n, f.profile, 2, f)
+    target = bounds._ORDER_DEGREE.num(f.n, f.profile, 2, f)
     semantic = f.lk(2) == target
-    member = f.class_g_witness is not None
+    member = recognize_class_G(f.g) is not None
     if semantic != member:
         return _bad(f"L_2={f.lk(2)} vs n+1-max_degree={target}, "
                     f"witness {'found' if member else 'absent'}")
@@ -355,7 +253,7 @@ def _ev_spider_characterization(f: GraphFacts) -> Outcome:
     if not p.is_tree or f.n < 2:
         return SKIP
     l1, l2 = f.lk(1), f.lk(2)
-    member = f.spider_member
+    member = is_spider_below_max_degree(f.g)
     fails = []
     if not l1 + 1 <= l2 <= 2 * l1:
         fails.append(f"L_2={l2} outside [L_1+1, 2L_1]=[{l1 + 1}, {2 * l1}]")
@@ -372,7 +270,7 @@ def _ev_class_t_characterization(f: GraphFacts) -> Outcome:
         return SKIP
     lo, hi = (b.value(f.n, p, 2, f)[0] for b in _CLASS_T)
     l2 = f.lk(2)
-    member = f.class_t_witness is not None
+    member = recognize_class_T(f.g) is not None
     fails = []
     if not lo <= l2 <= hi:
         fails.append(f"L_2={l2} outside [rho0, 2*rho0]=[{lo}, {hi}]")
@@ -632,7 +530,7 @@ def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
     interned: dict = {}
     by_class: dict = {}
     graphs = evaluated = 0
-    class_limit = getattr(corpus, "class_limit", LABELED_LIMIT)
+    class_limit = getattr(corpus, "class_limit", CLASS_LIMIT)
     if per_graph:
         for g in corpus:
             graphs += 1

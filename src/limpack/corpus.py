@@ -22,8 +22,9 @@ from typing import Iterator
 
 from .graphs import Graph, bits
 
-LABELED_LIMIT = 6
-LABELED_LIMIT_OVERRIDE = 7
+LABELED_LIMIT = 7
+# the orbit table of order 7 (2^21 masks) is built only for all_labeled(7)
+CLASS_LIMIT = 6
 TREE_EXHAUSTIVE_LIMIT = 10
 RANDOM_LIMIT = 16
 
@@ -53,13 +54,10 @@ def edge_order(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-def enumerate_labeled_graphs(n: int, allow_large: bool = False) -> Iterator[Graph]:
+def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     """All 2^(n(n-1)/2) labeled simple graphs of order n, in edge-mask order."""
-    limit = LABELED_LIMIT_OVERRIDE if allow_large else LABELED_LIMIT
-    if not 1 <= n <= limit:
-        raise ValueError(
-            f"exhaustive enumeration capped at n <= {limit}"
-            + ("" if allow_large else " (pass allow_large=True for 7)"))
+    if not 1 <= n <= LABELED_LIMIT:
+        raise ValueError(f"exhaustive enumeration capped at n <= {LABELED_LIMIT}")
     pairs = edge_order(n)
     for mask in range(1 << len(pairs)):
         adj = [0] * n
@@ -199,7 +197,7 @@ def _class_table(n: int) -> array:
     return table
 
 
-def labeled_class(g: Graph, limit: int = LABELED_LIMIT) -> tuple[int, int] | None:
+def labeled_class(g: Graph, limit: int = CLASS_LIMIT) -> tuple[int, int] | None:
     """(n, class id), equal exactly for isomorphic graphs; None above limit (at most 7).
 
     Read from an orbit table of all edge masks of order n, built on first use:
@@ -305,14 +303,13 @@ class Corpus:
     def __init__(self, spec: str, parts: list):
         self.spec = spec
         self._parts = parts
-        # the order-7 orbit table (2^21 masks) is built only for all_labeled(7)
-        self.class_limit = max([LABELED_LIMIT] + [n for kind, n in parts if kind == "all_labeled"])
+        self.class_limit = max([CLASS_LIMIT] + [n for kind, n in parts if kind == "all_labeled"])
 
     def __iter__(self) -> Iterator[Graph]:
         for kind, args in self._parts:
             if kind == "all_labeled":
                 for order in range(1, args + 1):
-                    yield from enumerate_labeled_graphs(order, allow_large=args >= 7)
+                    yield from enumerate_labeled_graphs(order)
             elif kind == "trees":
                 for order in range(2, args + 1):
                     yield from enumerate_tree_classes(order)
@@ -353,8 +350,8 @@ def parse_corpus_spec(text: str, default_seed: int | None = None) -> Corpus:
         term = term.strip()
         if term.startswith("all_labeled(") and term.endswith(")"):
             order = int(term[12:-1])
-            if not 1 <= order <= LABELED_LIMIT_OVERRIDE:
-                raise ValueError(f"all_labeled needs 1 <= N <= {LABELED_LIMIT_OVERRIDE}: {term!r}")
+            if not 1 <= order <= LABELED_LIMIT:
+                raise ValueError(f"all_labeled needs 1 <= N <= {LABELED_LIMIT}: {term!r}")
             parts.append(("all_labeled", order))
         elif term.startswith("trees(") and term.endswith(")"):
             inner = term[6:-1].replace("≤", "<=").strip()

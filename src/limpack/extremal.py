@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import MAX_VERTICES, Graph, bits, mask_of, profile
-from .solvers import ORACLE_LIMIT, OracleLimitError, open_packing_number
+from .solvers import ORACLE_LIMIT, OracleLimitError, _check_k, open_packing_number
 
 
 # ---------------------------------------------------------------------------
@@ -23,8 +23,7 @@ def check_Lk_equals_k(g: Graph, k: int) -> bool:
     larger graphs demand that every (k+1)-subset either has an internal vertex
     adjacent to the rest of it or an outside vertex adjacent to all of it.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     n = g.n
     if n <= k:
         return n == k
@@ -67,31 +66,24 @@ def _class_g_witness_ok(g: Graph, a0: int, b0: int) -> bool:
     return True
 
 
-def recognize_class_G(g: Graph, exhaustive: bool = False) -> ClassGWitness | None:
+def recognize_class_G(g: Graph) -> ClassGWitness | None:
     """Find an (A0, B0) witness, or None.
 
-    The bounded search only tries A0 == N[v] for maximum-degree v: any witness
-    has a spanning-star centre of maximum degree whose closed neighbourhood is
-    exactly A0, so this is complete.  exhaustive=True scans every A0 subset
-    instead (n <= 10), used to validate the bounded search.
+    The search only tries A0 == N[v] for maximum-degree v: any witness has a
+    spanning-star centre of maximum degree whose closed neighbourhood is
+    exactly A0, so this is complete.
     """
-    n = g.n
     full = g.full_mask
-    if exhaustive:
-        if n > 10:
-            raise ValueError("exhaustive class search capped at n <= 10")
-        candidates = ((a0, pair) for a0 in range(1, 1 << n)
-                      for pair in combinations(list(bits(a0)), 2))
-    else:
-        degs = g.degrees()
-        dmax = max(degs, default=0)
-        tops = [v for v in range(n) if degs[v] == dmax]
-        candidates = ((g.closed[v], pair) for v in tops
-                      for pair in combinations(list(bits(g.closed[v])), 2))
-    for a0, pair in candidates:
-        b0 = (full & ~a0) | mask_of(pair)
-        if _class_g_witness_ok(g, a0, b0):
-            return ClassGWitness(a0, b0)
+    degs = g.degrees()
+    dmax = max(degs, default=0)
+    for v in range(g.n):
+        if degs[v] != dmax:
+            continue
+        a0 = g.closed[v]
+        for pair in combinations(list(bits(a0)), 2):
+            b0 = (full & ~a0) | mask_of(pair)
+            if _class_g_witness_ok(g, a0, b0):
+                return ClassGWitness(a0, b0)
     return None
 
 
@@ -183,23 +175,16 @@ def _class_t_witness_ok(g: Graph, s0: int) -> bool:
     return True
 
 
-def recognize_class_T(g: Graph, exhaustive: bool = False) -> ClassTWitness | None:
+def recognize_class_T(g: Graph) -> ClassTWitness | None:
     """Find an (S0, R0) partition witness for a tree, or None.
 
-    Any valid S0 is a maximum open packing, so the bounded search enumerates
-    exactly those.  exhaustive=True tries every subset (n <= 10) to validate.
+    Any valid S0 is a maximum open packing, so the search enumerates exactly
+    those.
     """
     if not profile(g).is_tree or g.n < 2:
         raise ValueError("class-T recognition expects a tree with >= 2 vertices")
     n = g.n
     full = g.full_mask
-    if exhaustive:
-        if n > 10:
-            raise ValueError("exhaustive class search capped at n <= 10")
-        for s0 in range(1, 1 << n):
-            if _class_t_witness_ok(g, s0):
-                return ClassTWitness(s0, full & ~s0)
-        return None
     if n > ORACLE_LIMIT:
         raise OracleLimitError(f"class-T search enumerates subsets; capped at n <= {ORACLE_LIMIT}")
     target = open_packing_number(g).value

@@ -6,12 +6,15 @@ admits.  The companion parameters rho0, gamma and gamma_t go through the same
 branch-and-bound engine, under the same n <= 24 guard as the oracle.  All are
 deterministic: the oracle returns the smallest bitmask among maximum
 solutions, branch and bound the first optimum in its search order.
+GraphFacts caches these values for one graph, for the bound panel and the
+campaign.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .graphs import Graph, bits
+from .graphs import Graph, GraphProfile, bits, complement, profile
 
 ORACLE_LIMIT = 24
 
@@ -259,3 +262,58 @@ def total_domination_number(g: Graph) -> SolveResult:
     if any(nb == 0 for nb in g.adj):
         raise UndefinedParameterError("total domination undefined: graph has an isolated vertex")
     return _search(g.adj, 1, "min")
+
+
+# ---------------------------------------------------------------------------
+# exact values of one graph, each solved on its first read
+
+class GraphFacts:
+    """Lazily computed exact parameters for one graph.
+
+    Solver policy is limited_packing_number's default: subset oracle through
+    12 vertices, branch and bound beyond.  gamma, rho0 and gamma_t raise
+    OracleLimitError above ORACLE_LIMIT.  The campaign's evaluators and the
+    bound table read these attributes; run_campaign evaluates one graph per
+    isomorphism class of order <= 6, so evaluators read only invariants.
+    """
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.n = g.n
+        self._lk: dict[int, int] = {}
+        self._lk_bar: dict[int, int] = {}
+
+    @cached_property
+    def profile(self) -> GraphProfile:
+        return profile(self.g)
+
+    def lk(self, k: int) -> int:
+        if k not in self._lk:
+            self._lk[k] = limited_packing_number(self.g, k).value
+        return self._lk[k]
+
+    @property
+    def l1(self) -> int:
+        return self.lk(1)
+
+    @cached_property
+    def _complement(self) -> Graph:
+        return complement(self.g)
+
+    def lk_bar(self, k: int) -> int:
+        """L_k of the complement."""
+        if k not in self._lk_bar:
+            self._lk_bar[k] = limited_packing_number(self._complement, k).value
+        return self._lk_bar[k]
+
+    @cached_property
+    def gamma(self) -> int:
+        return domination_number(self.g).value
+
+    @cached_property
+    def rho0(self) -> int:
+        return open_packing_number(self.g).value
+
+    @cached_property
+    def gamma_t(self) -> int:
+        return total_domination_number(self.g).value

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from limpack import Graph
+import limpack.bounds as bounds_mod
+import limpack.campaign as campaign_mod
+from limpack import Graph, profile
 from limpack.campaign import (ALL_THEOREM_IDS, REGISTRY, Evaluator, GraphFacts,
                               Outcome, replay_violation, run_campaign)
 from limpack.corpus import labeled_class, parse_corpus_spec
@@ -210,3 +212,36 @@ def test_campaign_class_counts():
     assert report.graphs == 75 + 13 + 4
     assert report.classes_evaluated == 18 + 9 + 4
     assert report.class_hits == report.graphs - report.classes_evaluated
+
+
+def test_campaign_calls_each_recognizer_once_per_class(monkeypatch):
+    calls: dict = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(g, *args):
+            calls.setdefault(name, []).append((g, *args))
+            return fn(g, *args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("check_Lk_equals_k", "recognize_class_G", "recognize_class_T",
+                 "is_spider_below_max_degree"):
+        counted(campaign_mod, name)
+    counted(bounds_mod, "ng_lower_equality_condition")
+    ks = (1, 2, 3)
+    report = run_campaign(ALL_THEOREM_IDS, parse_corpus_spec("all_labeled(5)+trees(<=8)"), ks)
+    assert not report.failed
+    # cor-classG reads every evaluated corpus graph and nothing else
+    evaluated = [g for g, in calls["recognize_class_G"]]
+    assert len(evaluated) == report.classes_evaluated < report.graphs
+    assert sorted(k for _, k in calls["check_Lk_equals_k"]) == \
+        sorted(ks * report.classes_evaluated)
+    # prop-ng-lower skips n < k and tests the condition only there
+    assert sorted(k for _, k in calls["ng_lower_equality_condition"]) == \
+        sorted(k for g in evaluated for k in ks if g.n >= k)
+    trees = sum(1 for g in evaluated if g.n >= 2 and profile(g).is_tree)
+    spiders = REGISTRY["th-spider-characterization"].supplements()
+    combs = REGISTRY["th-classT-characterization"].supplements()
+    assert len(calls["is_spider_below_max_degree"]) == trees + len(spiders)
+    assert len(calls["recognize_class_T"]) == trees + len(combs)

@@ -1,6 +1,10 @@
 """Command-line interface: argument handling, output shapes, exit codes."""
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,24 @@ def test_graph_from_graph6_file_with_header(tmp_path, capsys):
     path.write_text(">>graph6<<DhC\n")
     rc, out, _ = run(capsys, "solve", "--graph", f"@{path}", "--k", "2")
     assert rc == 0 and out == "4\n"
+
+
+def test_params_runs_without_optional_packages(capsys):
+    # the package has no runtime dependencies: numpy, scipy, networkx and
+    # hypothesis serve tests and benches only, so params must run with each
+    # import failing
+    code = ("import sys\n"
+            "for name in ('numpy', 'scipy', 'networkx', 'hypothesis'):\n"
+            "    sys.modules[name] = None\n"
+            "from limpack.cli import main\n"
+            "sys.exit(main(['params', '--graph', 'DhC']))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, out, _ = run(capsys, "params", "--graph", "DhC")
+    assert rc == 0 and proc.stdout == out
 
 
 def test_params_panel(capsys):

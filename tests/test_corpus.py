@@ -27,8 +27,8 @@ def test_labeled_graph_counts():
 
 def test_labeled_graph_limit():
     with pytest.raises(ValueError):
-        next(enumerate_labeled_graphs(7))
-    g = next(islice(enumerate_labeled_graphs(7, allow_large=True), 1, 2))
+        next(enumerate_labeled_graphs(8))
+    g = next(islice(enumerate_labeled_graphs(7), 1, 2))
     assert g.n == 7 and g.edge_count() == 1
 
 
@@ -112,7 +112,7 @@ def test_labeled_class_matches_atlas():
 @pytest.mark.slow
 def test_labeled_class_order7_matches_atlas():
     nx = pytest.importorskip("networkx")
-    keys = {labeled_class(g, 7) for g in enumerate_labeled_graphs(7, allow_large=True)}
+    keys = {labeled_class(g, 7) for g in enumerate_labeled_graphs(7)}
     assert len(keys) == 1044
     atlas = [Graph.from_edges(7, h.edges()) for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
     assert len(atlas) == 1044

@@ -1,5 +1,5 @@
 """Extremal-family recognizers and certified constructions."""
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -12,6 +12,8 @@ from limpack import (Graph, bits, build_from_spec, check_Lk_equals_k,
                      recognize_class_T, recognize_spider, spider_shapes)
 from limpack.corpus import (enumerate_labeled_graphs, enumerate_tree_classes,
                             random_connected)
+from limpack.extremal import _class_g_witness_ok, _class_t_witness_ok
+from limpack.graphs import mask_of
 
 
 def l(g, k):
@@ -73,16 +75,20 @@ def test_class_g_matches_semantic_exhaustive():
             assert member == semantic, g.edges()
 
 
+def class_g_by_scan(g):
+    """Class-G membership by trying every A0 subset and every pair in it."""
+    full = g.full_mask
+    return any(_class_g_witness_ok(g, a0, (full & ~a0) | mask_of(pair))
+               for a0 in range(1, 1 << g.n) for pair in combinations(list(bits(a0)), 2))
+
+
 def test_class_g_bounded_matches_exhaustive_search():
     for n in range(2, 6):
         for g in enumerate_labeled_graphs(n):
-            bounded = recognize_class_G(g) is not None
-            full = recognize_class_G(g, exhaustive=True) is not None
-            assert bounded == full, g.edges()
+            assert (recognize_class_G(g) is not None) == class_g_by_scan(g), g.edges()
     for n in (7, 8, 9):
         for g in random_connected(n, 20, seed=n):
-            assert (recognize_class_G(g) is not None) == \
-                (recognize_class_G(g, exhaustive=True) is not None)
+            assert (recognize_class_G(g) is not None) == class_g_by_scan(g), g.edges()
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +171,8 @@ def test_class_t_witness_structure():
 def test_class_t_bounded_matches_exhaustive_search():
     for n in range(2, 10):
         for g in enumerate_tree_classes(n):
-            bounded = recognize_class_T(g) is not None
-            full = recognize_class_T(g, exhaustive=True) is not None
-            assert bounded == full, g.edges()
+            by_scan = any(_class_t_witness_ok(g, s0) for s0 in range(1, 1 << n))
+            assert (recognize_class_T(g) is not None) == by_scan, g.edges()
 
 
 def test_class_t_equivalence_on_tree_classes():
