@@ -11,7 +11,7 @@ exact values over those corpora.
 
 __version__ = "0.1.0"
 
-from .bounds import (AuxValues, BoundEntry, BoundReport, NGReport,
+from .bounds import (BoundEntry, BoundReport, NGReport,
                      RegularEqualityResult, bound_report, closed_form,
                      ng_lower_equality_condition, nordhaus_gaddum,
                      regular_equality_check, small_order_value)
@@ -49,7 +49,7 @@ __all__ = [
     "is_open_packing", "is_total_dominating_set", "limited_packing_bb",
     "limited_packing_number", "limited_packing_oracle", "open_packing_number",
     "total_domination_number",
-    "AuxValues", "BoundEntry", "BoundReport", "NGReport",
+    "BoundEntry", "BoundReport", "NGReport",
     "RegularEqualityResult", "bound_report", "closed_form",
     "ng_lower_equality_condition", "nordhaus_gaddum", "regular_equality_check",
     "small_order_value",

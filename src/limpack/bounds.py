@@ -3,13 +3,11 @@
 Each bound is one Bound row of the BOUNDS table: its hypothesis, its value as
 a rational, and the statement it belongs to.  bound_report lists the rows as
 BoundEntry records whose hypothesis was actually checked against the graph
-profile; entries whose hypothesis fails (or whose auxiliary exact values are
-not known) carry applicable=False and no value.  The campaign derives its
-evaluators for the same statements from the same rows.  Bounds derived from
-gamma, L_1, or rho0 read them from an aux object: bound_report and the
-campaign both pass a solvers.GraphFacts, which solves each on its first read,
-and bound_report passes AuxValues() above the companion guard, where none of
-them is known.
+profile; entries whose hypothesis fails carry applicable=False and no value.
+The campaign derives its evaluators for the same statements from the same
+rows.  Bounds derived from gamma, L_1, or rho0 read them from an aux object:
+bound_report and the campaign both pass a solvers.GraphFacts, which solves
+each on its first read.
 """
 from __future__ import annotations
 
@@ -42,14 +40,6 @@ class BoundEntry:
             "hypothesis": self.hypothesis,
             "citation": self.citation,
         }
-
-
-@dataclass(frozen=True)
-class AuxValues:
-    """Exact companion parameters, None where not known (AuxValues() knows none)."""
-    gamma: int | None = None
-    l1: int | None = None
-    rho0: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +82,9 @@ class Bound:
 
     applies, num and den take (n, p, k, aux): the order, the GraphProfile, k,
     and an object whose gamma, l1 and rho0 attributes give the exact companion
-    parameters (a solvers.GraphFacts solves them on first read; AuxValues
-    gives None for unknown ones).  The value is num/den rounded inward, up
-    for lower bounds and down for upper ones; den=None marks an integral
+    parameters (a solvers.GraphFacts solves each on its first read, so num
+    reads one only once applies holds).  The value is num/den rounded inward,
+    up for lower bounds and down for upper ones; den=None marks an integral
     bound, and only fractional bounds show their raw rational.  tie is the
     campaign's positive case: "value" (L_k equals the value), "raw" (L_k
     equals num/den), or "any" (every substantive check).
@@ -159,20 +149,20 @@ _LOWER = (
           lambda n, p, k, a: p.max_degree ** 2 + 1, ks=range(1, 2)),
     Bound("chain-lower", "lower", "k >= 2 and max_degree >= k-1, needs exact L_1",
           "lem-monotone-chain",
-          lambda n, p, k, a: k >= 2 and p.max_degree >= k - 1 and a.l1 is not None,
+          lambda n, p, k, a: k >= 2 and p.max_degree >= k - 1,
           lambda n, p, k, a: a.l1 + k - 1),
     Bound("openpack-half-lower", "lower", "k == 1, needs exact rho0", "lem-openpack-sandwich",
-          lambda n, p, k, a: k == 1 and a.rho0 is not None,
+          lambda n, p, k, a: k == 1,
           lambda n, p, k, a: a.rho0, lambda *_: 2, tie="raw"),
     Bound("openpack-lower", "lower", "tree and k == 2, needs exact rho0",
           "th-classT-characterization",
-          lambda n, p, k, a: k == 2 and p.is_tree and a.rho0 is not None,
+          lambda n, p, k, a: k == 2 and p.is_tree,
           lambda n, p, k, a: a.rho0),
 )
 
 _UPPER = (
     Bound("kgamma-upper", "upper", "needs exact gamma", "lem-kgamma",
-          lambda n, p, k, a: a.gamma is not None, lambda n, p, k, a: k * a.gamma),
+          lambda *_: True, lambda n, p, k, a: k * a.gamma),
     Bound("mindeg-ratio-upper", "upper", "always", "lem-delta-upper",
           lambda n, p, k, a: n >= 1, lambda n, p, k, a: k * n,
           lambda n, p, k, a: p.min_degree + 1, tie="raw"),
@@ -194,14 +184,14 @@ _UPPER = (
           lambda n, p, k, a: 2 * n, lambda *_: 3, tie="any"),
     Bound("l1-ratio-upper", "upper", "k == 2 and graph has an edge, needs exact L_1",
           "prop-l1-l2-sandwich",
-          lambda n, p, k, a: k == 2 and p.max_degree >= 1 and a.l1 is not None,
+          lambda n, p, k, a: k == 2 and p.max_degree >= 1,
           lambda n, p, k, a: 2 * (p.max_degree ** 2 + 1) * a.l1,
           lambda n, p, k, a: p.min_degree + 1),
     Bound("openpack-upper", "upper", "k == 1, needs exact rho0", "lem-openpack-sandwich",
-          lambda n, p, k, a: k == 1 and a.rho0 is not None, lambda n, p, k, a: a.rho0),
+          lambda n, p, k, a: k == 1, lambda n, p, k, a: a.rho0),
     Bound("double-openpack-upper", "upper", "tree and k == 2, needs exact rho0",
           "th-classT-characterization",
-          lambda n, p, k, a: k == 2 and p.is_tree and a.rho0 is not None,
+          lambda n, p, k, a: k == 2 and p.is_tree,
           lambda n, p, k, a: 2 * a.rho0),
     Bound("universal-vertex-exact", "exact", "k == 2, n >= 2, max_degree == n-1",
           "lem-maxdeg-n1",
@@ -269,12 +259,11 @@ def bound_report(g: Graph, k: int, with_exact: bool = False) -> BoundReport:
     """Assemble every bound entry for (g, k).
 
     Auxiliary exact values (gamma, L_1, rho0) are solved only when an entry
-    whose other hypotheses hold reads them, and only within the companion
-    guard (n <= ORACLE_LIMIT); otherwise those entries are inapplicable.
+    whose other hypotheses hold reads them.
     """
     solvers._check_k(k)
     p = profile(g)
-    aux = solvers.GraphFacts(g) if g.n <= solvers.ORACLE_LIMIT else AuxValues()
+    aux = solvers.GraphFacts(g)
     entries = tuple(b.entry(g.n, p, k, aux) for b in BOUNDS if k in b.ks)
     exact = solvers.limited_packing_number(g, k).value if with_exact else None
     return BoundReport(emit_graph6(g), k, g.n, entries, exact)

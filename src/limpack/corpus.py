@@ -20,7 +20,7 @@ from functools import cache
 from itertools import product
 from typing import Iterator
 
-from .graphs import Graph, bits
+from .graphs import Graph, _component_count, bits
 
 LABELED_LIMIT = 7
 # the orbit table of order 7 (2^21 masks) is built only for all_labeled(7)
@@ -270,28 +270,13 @@ def random_connected(n: int, count: int, seed: int, edge_prob: float = 0.5,
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
             g = Graph(n, adj)
-            if _connected(g):
+            if _component_count(g, g.full_mask) == 1:
                 out.append(g)
                 break
         else:
             raise RejectionBudgetError(
                 f"no connected graph on {n} vertices in {budget} draws at p={edge_prob}")
     return out
-
-
-def _connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    comp = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v]
-        nxt &= ~comp
-        comp |= nxt
-        frontier = nxt
-    return comp == g.full_mask
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import MAX_VERTICES, Graph, bits, mask_of, profile
-from .solvers import ORACLE_LIMIT, OracleLimitError, _check_k, open_packing_number
+from .solvers import _check_k
 
 
 # ---------------------------------------------------------------------------
@@ -178,27 +178,22 @@ def _class_t_witness_ok(g: Graph, s0: int) -> bool:
 def recognize_class_T(g: Graph) -> ClassTWitness | None:
     """Find an (S0, R0) partition witness for a tree, or None.
 
-    Any valid S0 is a maximum open packing, so the search enumerates exactly
-    those.
+    A valid S0 is forced up to twin leaves.  A leaf sees only its support
+    vertex, so every support vertex is in S0; each matched pair needs a leaf
+    endpoint, so each support is matched to one of its own leaves.  Leaves of
+    one support are twins, so S0 is taken as the support vertices plus the
+    least leaf of each, which is also the least valid mask.
     """
     if not profile(g).is_tree or g.n < 2:
         raise ValueError("class-T recognition expects a tree with >= 2 vertices")
-    n = g.n
-    full = g.full_mask
-    if n > ORACLE_LIMIT:
-        raise OracleLimitError(f"class-T search enumerates subsets; capped at n <= {ORACLE_LIMIT}")
-    target = open_packing_number(g).value
     adj = g.adj
-    for s0 in range(1 << n):
-        if s0.bit_count() != target:
-            continue
-        for nb in adj:
-            if (nb & s0).bit_count() > 1:
-                break
-        else:
-            if _class_t_witness_ok(g, s0):
-                return ClassTWitness(s0, full & ~s0)
-    return None
+    s0 = 0
+    for v in range(g.n):
+        if adj[v].bit_count() == 1 and not s0 & adj[v]:
+            s0 |= (1 << v) | adj[v]
+    if not _class_t_witness_ok(g, s0):
+        return None
+    return ClassTWitness(s0, g.full_mask & ~s0)
 
 
 # ---------------------------------------------------------------------------

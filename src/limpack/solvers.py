@@ -3,9 +3,9 @@
 Two exact routes for the k-limited packing number: a subset-enumeration oracle
 (guarded to n <= 24) and branch and bound, which handles any graph the package
 admits.  The companion parameters rho0, gamma and gamma_t go through the same
-branch-and-bound engine, under the same n <= 24 guard as the oracle.  All are
-deterministic: the oracle returns the smallest bitmask among maximum
-solutions, branch and bound the first optimum in its search order.
+branch-and-bound engine, at every order.  All are deterministic: the oracle
+returns the smallest bitmask among maximum solutions, branch and bound the
+first optimum in its search order.
 GraphFacts caches these values for one graph, for the bound panel and the
 campaign.
 """
@@ -20,8 +20,8 @@ ORACLE_LIMIT = 24
 
 
 class OracleLimitError(ValueError):
-    """Order above ORACLE_LIMIT for the oracle or a companion parameter;
-    use limited_packing_bb for larger orders."""
+    """Order above ORACLE_LIMIT for the subset oracle; use limited_packing_bb
+    for larger orders."""
 
 
 class UndefinedParameterError(ValueError):
@@ -215,12 +215,7 @@ def limited_packing_number(g: Graph, k: int, method: str = "auto") -> SolveResul
 
 
 # ---------------------------------------------------------------------------
-# companion parameters, by the same branch and bound (n <= 24)
-
-def _order_guard(g: Graph, what: str) -> None:
-    if g.n > ORACLE_LIMIT:
-        raise OracleLimitError(f"{what} is capped at n <= {ORACLE_LIMIT}, got n = {g.n}")
-
+# companion parameters, by the same branch and bound
 
 def is_open_packing(g: Graph, mask: int) -> bool:
     """True iff every open neighbourhood meets mask in at most one vertex."""
@@ -246,19 +241,16 @@ def is_total_dominating_set(g: Graph, mask: int) -> bool:
 
 def open_packing_number(g: Graph) -> SolveResult:
     """Maximum open packing (|N(v) & S| <= 1 for every v)."""
-    _order_guard(g, "open packing")
     return _search(g.adj, 1, "max")
 
 
 def domination_number(g: Graph) -> SolveResult:
     """Minimum dominating set (closed neighbourhoods of the set cover V)."""
-    _order_guard(g, "domination")
     return _search(g.closed, 1, "min")
 
 
 def total_domination_number(g: Graph) -> SolveResult:
     """Minimum total dominating set; undefined when the graph has an isolated vertex."""
-    _order_guard(g, "total domination")
     if any(nb == 0 for nb in g.adj):
         raise UndefinedParameterError("total domination undefined: graph has an isolated vertex")
     return _search(g.adj, 1, "min")
@@ -271,10 +263,10 @@ class GraphFacts:
     """Lazily computed exact parameters for one graph.
 
     Solver policy is limited_packing_number's default: subset oracle through
-    12 vertices, branch and bound beyond.  gamma, rho0 and gamma_t raise
-    OracleLimitError above ORACLE_LIMIT.  The campaign's evaluators and the
-    bound table read these attributes; run_campaign evaluates one graph per
-    isomorphism class of order <= 6, so evaluators read only invariants.
+    12 vertices, branch and bound beyond.  gamma, rho0 and gamma_t always go
+    through branch and bound.  The campaign's evaluators and the bound table
+    read these attributes; run_campaign evaluates one graph per isomorphism
+    class of order <= 6, so evaluators read only invariants.
     """
 
     def __init__(self, g: Graph):

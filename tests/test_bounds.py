@@ -142,10 +142,16 @@ def test_report_solves_aux_values_only_when_read(monkeypatch):
     rep = bound_report(cycle, 1)
     assert sorted(calls) == ["domination_number", "open_packing_number"]
     assert entry(rep, "openpack-upper").value == open_packing_number(cycle).value
+    path = construct_family("path", 30)                # above the oracle's order limit
     calls.clear()
-    rep = bound_report(construct_family("path", 30), 1)
-    assert calls == []                                 # above the enumeration guard
-    assert not entry(rep, "kgamma-upper").applicable
+    rep = bound_report(path, 1)
+    assert sorted(calls) == ["domination_number", "open_packing_number"]
+    assert entry(rep, "kgamma-upper").value == 10
+    assert entry(rep, "openpack-upper").value == 16
+    calls.clear()
+    rep = bound_report(path, 3)
+    assert calls == ["domination_number"]
+    assert entry(rep, "kgamma-upper").value == 30
 
 
 def test_report_universal_vertex_and_cutvertex():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from limpack import build_from_spec, emit_graph6
 from limpack.cli import main
 
 
@@ -109,6 +110,12 @@ def test_params_panel(capsys):
     assert data["L1"] == 1 and data["L2"] == 2 and data["L3"] == 3
     assert data["rho0"] == 2 and data["gamma"] == 1 and data["gamma_t"] == 2
     assert data["profile"]["is_tree"] and data["profile"]["diameter"] == 2
+    # above the oracle's order limit the companions still come from branch and bound
+    rc, out, _ = run(capsys, "params", "--graph", emit_graph6(build_from_spec("path:30")))
+    assert rc == 0
+    data = json.loads(out)
+    assert data["n"] == 30 and data["L1"] == 10
+    assert (data["gamma"], data["rho0"], data["gamma_t"]) == (10, 16, 16)
 
 
 def test_params_gamma_t_null_with_isolated_vertex(capsys):
@@ -150,6 +157,16 @@ def test_recognize_class_g(capsys):
     assert rc == 0
     data = json.loads(out)
     assert data["member"] is True and data["witness"]["A0"] == [0, 1]
+
+
+def test_recognize_class_t_above_oracle_limit(capsys):
+    # comb:9: spine 0..8, each spine vertex carrying a cherry (9+2i, 10+2i)
+    rc, out, _ = run(capsys, "recognize", "--graph", emit_graph6(build_from_spec("comb:9")),
+                     "--family", "classT")
+    assert rc == 0
+    data = json.loads(out)
+    assert data["member"] is True
+    assert data["witness"] == {"S0": list(range(9, 27)), "R0": list(range(9))}
 
 
 def test_recognize_spider_rejects_non_tree(capsys):
@@ -275,6 +292,17 @@ def test_verify_corpus_bounded_when_parsed(capsys):
                            "--k", "1")
         assert time.monotonic() - t0 < 0.05, spec
         assert rc == 2 and out == "" and err.startswith("error: "), spec
+
+
+def test_verify_file_corpus_above_oracle_limit(tmp_path, capsys):
+    corpus = tmp_path / "big.g6"
+    corpus.write_text("".join(emit_graph6(build_from_spec(spec)) + "\n"
+                              for spec in ("path:30", "comb:9", "spider:12,3")))
+    rc, out, err = run(capsys, "verify", "--theorems", "all",
+                       "--corpus", f"file({corpus})", "--k", "1..3")
+    assert rc == 0 and err == ""
+    # every graph's gamma is known, so lem-kgamma checks all three at each k
+    assert "lem-kgamma: pass (graphs=3, substantive=9," in out
 
 
 def test_verify_stats_on_stderr_only(tmp_path, capsys):

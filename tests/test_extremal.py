@@ -1,4 +1,5 @@
 """Extremal-family recognizers and certified constructions."""
+import random
 from itertools import combinations, product
 
 import pytest
@@ -10,8 +11,8 @@ from limpack import (Graph, bits, build_from_spec, check_Lk_equals_k,
                      limited_packing_number, limited_packing_oracle,
                      open_packing_number, profile, recognize_class_G,
                      recognize_class_T, recognize_spider, spider_shapes)
-from limpack.corpus import (enumerate_labeled_graphs, enumerate_tree_classes,
-                            random_connected)
+from limpack.corpus import (enumerate_labeled_graphs, enumerate_labeled_trees,
+                            enumerate_tree_classes, prufer_decode, random_connected)
 from limpack.extremal import _class_g_witness_ok, _class_t_witness_ok
 from limpack.graphs import mask_of
 
@@ -168,18 +169,42 @@ def test_class_t_witness_structure():
     assert s0.bit_count() == open_packing_number(g).value
 
 
+def relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def least_class_t_mask(g):
+    """The least S0 that _class_t_witness_ok accepts, by scanning every mask; None if none."""
+    return next((s0 for s0 in range(1, 1 << g.n) if _class_t_witness_ok(g, s0)), None)
+
+
 def test_class_t_bounded_matches_exhaustive_search():
-    for n in range(2, 10):
+    rng = random.Random(10)
+    trees = [g for n in range(2, 7) for g in enumerate_labeled_trees(n)]
+    for n in range(2, 11):
         for g in enumerate_tree_classes(n):
-            by_scan = any(_class_t_witness_ok(g, s0) for s0 in range(1, 1 << n))
-            assert (recognize_class_T(g) is not None) == by_scan, g.edges()
+            trees += [g] + [relabel(g, rng) for _ in range(3)]
+    for g in trees:
+        w = recognize_class_T(g)
+        assert (None if w is None else w.s0) == least_class_t_mask(g), g.edges()
+        assert w is None or w.r0 == g.full_mask & ~w.s0
 
 
 def test_class_t_equivalence_on_tree_classes():
-    for n in range(2, 10):
-        for g in enumerate_tree_classes(n):
-            member = recognize_class_T(g) is not None
-            assert member == (open_packing_number(g).value == l(g, 2)), g.edges()
+    trees = [g for n in range(2, 10) for g in enumerate_tree_classes(n)]
+    # n = 25..64: Pruefer trees are rarely in class T, relabeled combs always
+    # are.  Combs stop at a = 12: branch and bound's L_2 on relabeled combs
+    # with pendants grows fast (about 2 s at a = 14, over a minute at a = 18).
+    rng = random.Random(64)
+    for n in range(25, 65, 3):
+        trees.append(Graph.from_edges(n, prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)))
+    for a in range(9, 13):
+        trees.append(relabel(construct_comb(a, tuple(rng.randrange(2) for _ in range(a))), rng))
+    for g in trees:
+        member = recognize_class_T(g) is not None
+        assert member == (open_packing_number(g).value == l(g, 2)), g.edges()
 
 
 def test_doubling_coincides_on_trees():
@@ -265,3 +290,25 @@ def test_build_from_spec():
         build_from_spec("path:x")
     with pytest.raises(ValueError):
         build_from_spec("moebius:5")
+
+
+# ---------------------------------------------------------------------------
+# the recognizers are structural: they run with every solver disabled
+
+def test_recognizers_call_no_solver(monkeypatch):
+    from limpack import solvers
+
+    def refuse(*args):
+        raise AssertionError("a structural recognizer called a solver")
+
+    monkeypatch.setattr(solvers, "_search", refuse)
+    monkeypatch.setattr(solvers, "limited_packing_oracle", refuse)
+    with pytest.raises(AssertionError):
+        open_packing_number(construct_family("path", 3))
+    for n in range(2, 9):
+        for g in enumerate_tree_classes(n):
+            recognize_class_T(g)
+            recognize_class_G(g)
+            is_spider_below_max_degree(g)
+            for k in (1, 2, 3):
+                check_Lk_equals_k(g, k)

@@ -3,8 +3,8 @@
 Both files pin output that must not drift by accident: the panel's entry
 order (lower half by id, then upper half by id, exact entries in both),
 entries listed only at some k (maxdeg-sq-lower at k=1, the girth entry whose
-text and citation change with k), inapplicable aux entries above the
-enumeration guard, and the campaign counts at k=4 and k=5.
+text and citation change with k), the aux entries (gamma, L_1, rho0) above
+the oracle's order limit, and the campaign counts at k=4 and k=5.
 
 Regenerate, only when an output change is intended, with
 
@@ -22,7 +22,7 @@ CAMPAIGN_PATH = GOLDEN / "campaign_k1-5.json"
 
 PANEL_KS = range(1, 6)
 PANEL_CORPUS = "all_labeled(4)+random_connected(n=8..14,40,seed=3)"
-# orders 17..24 are left out: their eager 2^n aux scans take seconds each
+# path:30, comb:9 and spider:12,3 lie above the oracle's order limit (n <= 24)
 PANEL_FAMILIES = (
     "path:1", "path:2", "path:5", "path:10", "path:12", "path:16",
     "cycle:3", "cycle:6", "cycle:9", "cycle:16",

@@ -3,7 +3,7 @@
 Each value is checked against a brute force kept here, independent of the
 package: the smallest (or largest) size at which some vertex set of that
 size is feasible, by itertools.combinations.  A MILP cross-check (scipy's
-`milp`, skipped without scipy) covers orders up to the n <= 24 guard.
+`milp`, skipped without scipy) covers orders 14..64.
 """
 import random
 from itertools import combinations
@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 
 from limpack import (Graph, UndefinedParameterError, domination_number,
-                     is_dominating_set, is_open_packing,
+                     induced_subgraph, is_dominating_set, is_open_packing,
                      is_total_dominating_set, open_packing_number, profile,
                      total_domination_number)
 from limpack.corpus import enumerate_labeled_graphs
@@ -56,6 +56,12 @@ def check_companions(g: Graph) -> None:
             total_domination_number(g)
 
 
+def gnp(n: int, p: float, seed: int) -> Graph:
+    """A G(n, p) from random.Random(seed), connected or not."""
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+
+
 def connected_gnp(n: int, p: float, seed: int) -> Graph:
     """A connected G(n, p) from random.Random(seed), by rejection."""
     rng = random.Random(seed)
@@ -78,7 +84,7 @@ def test_companions_match_brute_force_random():
 
 
 # ---------------------------------------------------------------------------
-# MILP cross-check up to the companion guard
+# MILP cross-check
 
 def milp_value(g: Graph, rows: str, sense: str) -> int:
     np = pytest.importorskip("numpy")
@@ -96,9 +102,16 @@ def milp_value(g: Graph, rows: str, sense: str) -> int:
 
 def test_companions_match_milp():
     pytest.importorskip("scipy.optimize")
-    for n in range(14, 25):
-        for p in (0.15, 0.3):
-            g = connected_gnp(n, p, seed=7000 + 10 * n + int(100 * p))
-            assert domination_number(g).value == milp_value(g, CLOSED, "min"), (n, p)
-            assert total_domination_number(g).value == milp_value(g, ADJ, "min"), (n, p)
-            assert open_packing_number(g).value == milp_value(g, ADJ, "max"), (n, p)
+    graphs = [connected_gnp(n, p, seed=7000 + 10 * n + int(100 * p))
+              for n in range(14, 25) for p in (0.15, 0.3)]
+    # sparse graphs above the oracle's order limit, isolated vertices included
+    graphs += [gnp(n, 2.5 / (n - 1), seed=8000 + n) for n in range(25, 65)]
+    for g in graphs:
+        assert domination_number(g).value == milp_value(g, CLOSED, "min"), g.edges()
+        assert open_packing_number(g).value == milp_value(g, ADJ, "max"), g.edges()
+        if not all(g.adj):
+            with pytest.raises(UndefinedParameterError):
+                total_domination_number(g)
+            # gamma_t of the graph without its isolated vertices
+            g = induced_subgraph(g, sum(1 << v for v, nb in enumerate(g.adj) if nb))
+        assert total_domination_number(g).value == milp_value(g, ADJ, "min"), g.edges()
