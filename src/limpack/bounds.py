@@ -317,10 +317,10 @@ def ng_upper_bound(n: int, k: int, max_degree: int, min_degree: int) -> tuple[st
     return "mixed", 2 * n - 1
 
 
-def nordhaus_gaddum(g: Graph, k: int, method: str = "auto") -> NGReport:
+def nordhaus_gaddum(g: Graph, k: int) -> NGReport:
     """Exact L_k(G) + L_k(complement) with the matching case-split upper bound."""
-    val = solvers.limited_packing_number(g, k, method).value
-    val_bar = solvers.limited_packing_number(complement(g), k, method).value
+    val = solvers.limited_packing_number(g, k).value
+    val_bar = solvers.limited_packing_number(complement(g), k).value
     n = g.n
     degs = g.degrees()
     lower, lower_applicable = ng_lower_bound(n, k)
@@ -392,9 +392,9 @@ def regular_half(n: int, p: GraphProfile, k: int, lk: Callable[[int], int]) -> b
     return 2 * d >= n
 
 
-def regular_equality_check(g: Graph, k: int, method: str = "auto") -> RegularEqualityResult:
+def regular_equality_check(g: Graph, k: int) -> RegularEqualityResult:
     n, p = g.n, profile(g)
-    verdict = regular_half(n, p, k, lambda k: solvers.limited_packing_number(g, k, method).value)
+    verdict = regular_half(n, p, k, lambda k: solvers.limited_packing_number(g, k).value)
     regular = n >= 1 and p.min_degree == p.max_degree
     d = p.max_degree if regular else None
     return RegularEqualityResult(regular, d, regular and k <= d, verdict is not None,

@@ -58,7 +58,7 @@ class Evaluator:
     kind: str                                  # per_k | once | standalone
     fn: Callable | None = None
     supplements: Callable | None = None
-    runner: Callable | None = None
+    runner: Callable | None = None             # standalone: yields (graph, row) pairs
 
 
 # ---------------------------------------------------------------------------
@@ -293,59 +293,39 @@ _FORMULA_FAMILIES = {
 }
 
 
-def _formula_run(family: str, sizes) -> tuple[int, int, int, list]:
-    checked = substantive = positives = 0
-    violations = []
+def _formula_run(family: str, sizes):
+    """Yield each family member and its row: the oracle against the closed formula, k = 1..4."""
     for size in sizes:
         g = construct_family(family, size)
         label = f"{family} n={size}" if isinstance(size, int) else f"{family} {size[0]},{size[1]}"
-        checked += 1
+        bad = []
         for k in (1, 2, 3, 4):
             expect = bounds.closed_form(family, size, k)
             got = solvers.limited_packing_oracle(g, k).value
-            substantive += 1
             if got != expect:
-                violations.append({"graph6": emit_graph6(g), "k": k,
-                                   "detail": f"{label}: oracle={got}, formula={expect}"})
-            else:
-                positives += 1
-    return checked, substantive, positives, violations
+                bad.append((k, f"{label}: oracle={got}, formula={expect}"))
+        yield g, (4, 4 - len(bad), tuple(bad))
 
 
-def _run_diam2_construction(sizes: Iterable[int] = range(2, 6)):
-    checked = substantive = positives = 0
-    violations = []
-    for a in sizes:
+def _run_diam2_construction():
+    for a in range(2, 6):
         g = construct_diam2(a)
-        checked += 1
-        substantive += 1
         diam = profile(g).diameter
         l2 = solvers.limited_packing_number(g, 2).value
-        if diam != 2 or l2 != a:
-            violations.append({"graph6": emit_graph6(g), "k": 2,
-                               "detail": f"a={a}: diameter={diam}, L_2={l2}"})
-        else:
-            positives += 1
-    return checked, substantive, positives, violations
+        bad = () if diam == 2 and l2 == a else ((2, f"a={a}: diameter={diam}, L_2={l2}"),)
+        yield g, (1, 1 - len(bad), bad)
 
 
-def _run_prescribed_construction(amax: int = 4):
-    checked = substantive = positives = 0
-    violations = []
-    for a in range(2, amax + 1):
+def _run_prescribed_construction():
+    for a in range(2, 5):
         for b in range(a + 1, 2 * a + 1):
             g = construct_tree_prescribed(a, b)
-            checked += 1
-            substantive += 1
             r = solvers.open_packing_number(g).value
             l1 = solvers.limited_packing_number(g, 1).value
             l2 = solvers.limited_packing_number(g, 2).value
-            if (r, l1, l2) != (a, a, b):
-                violations.append({"graph6": emit_graph6(g), "k": None,
-                                   "detail": f"a={a}, b={b}: rho0={r}, L_1={l1}, L_2={l2}"})
-            else:
-                positives += 1
-    return checked, substantive, positives, violations
+            bad = () if (r, l1, l2) == (a, a, b) else (
+                (None, f"a={a}, b={b}: rho0={r}, L_1={l1}, L_2={l2}"),)
+            yield g, (1, 1 - len(bad), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +525,8 @@ def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
     for tid in ids:
         ev = registry[tid]
         if ev.kind == "standalone":
-            checked, substantive, positives, violations = ev.runner()
-            v = verdicts[tid]
-            v.graphs_checked += checked
-            v.substantive_checks += substantive
-            v.positive_cases += positives
-            v.violations.extend(violations)
+            for g, row in ev.runner():
+                _tally([verdicts[tid]], (row,), g)
         elif ev.supplements is not None:
             for g in ev.supplements():
                 _tally([verdicts[tid]], _rows([ev], GraphFacts(g), ks, interned), g)

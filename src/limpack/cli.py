@@ -21,9 +21,6 @@ from .extremal import (build_from_spec, check_Lk_equals_k,
 from .graphs import (MAX_VERTICES, Graph, GraphFormatError, bits, emit_graph6,
                      parse_edge_list, parse_graph6, profile)
 
-_G6_HEADER = ">>graph6<<"
-
-
 def _load_graph(spec: str) -> Graph:
     """graph6 text, or @path to a file holding graph6 or an 'n m' edge list."""
     if spec.startswith("@"):
@@ -32,15 +29,10 @@ def _load_graph(spec: str) -> Graph:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise GraphFormatError("graph file is empty", 0)
-        first = lines[0]
-        if first.startswith(_G6_HEADER):
-            first = first[len(_G6_HEADER):]
-        head = first.split()
+        head = lines[0].split()
         if len(head) == 2 and all(p.isdigit() for p in head):
             return parse_edge_list(text)
-        return parse_graph6(first)
-    if spec.startswith(_G6_HEADER):
-        spec = spec[len(_G6_HEADER):]
+        return parse_graph6(lines[0])
     return parse_graph6(spec)
 
 

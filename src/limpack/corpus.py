@@ -20,7 +20,8 @@ from functools import cache
 from itertools import product
 from typing import Iterator
 
-from .graphs import Graph, _component_count, bits
+from .graphs import (GRAPH6_LINE_LIMIT, Graph, GraphFormatError, _component_count,
+                     bits, parse_graph6)
 
 LABELED_LIMIT = 7
 # the orbit table of order 7 (2^21 masks) is built only for all_labeled(7)
@@ -49,26 +50,12 @@ def splitmix64(seed: int) -> Iterator[int]:
 # ---------------------------------------------------------------------------
 # exhaustive labeled graphs
 
-def edge_order(n: int) -> list[tuple[int, int]]:
-    """Edge positions in mask order: (0,1), (0,2), (1,2), (0,3), ..."""
-    return [(i, j) for j in range(1, n) for i in range(j)]
-
-
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     """All 2^(n(n-1)/2) labeled simple graphs of order n, in edge-mask order."""
     if not 1 <= n <= LABELED_LIMIT:
         raise ValueError(f"exhaustive enumeration capped at n <= {LABELED_LIMIT}")
-    pairs = edge_order(n)
-    for mask in range(1 << len(pairs)):
-        adj = [0] * n
-        m = mask
-        while m:
-            low = m & -m
-            i, j = pairs[low.bit_length() - 1]
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-            m ^= low
-        yield Graph(n, adj)
+    for mask in range(1 << n * (n - 1) // 2):
+        yield Graph.from_edge_mask(n, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +153,12 @@ def _class_table(n: int) -> array:
     S_n.  A transposition permutes edge positions; it maps a mask through two
     lookup tables, one per half of the mask.
     """
-    pairs = edge_order(n)
+    pairs = [Graph.from_edge_mask(n, 1 << p).edges()[0] for p in range(n * (n - 1) // 2)]
     half = len(pairs) // 2
     moves = []
     for v in range(n - 1):
         swap = {v: v + 1, v + 1: v}
-        image = [1 << pairs.index(tuple(sorted((swap.get(i, i), swap.get(j, j)))))
+        image = [Graph.from_edges(n, [(swap.get(i, i), swap.get(j, j))]).edge_mask()
                  for i, j in pairs]
         chunks = []
         for part in (image[:half], image[half:]):
@@ -205,14 +192,9 @@ def labeled_class(g: Graph, limit: int = CLASS_LIMIT) -> tuple[int, int] | None:
     which pays only for a corpus holding every labeled graph of order 7
     (Corpus.class_limit).
     """
-    n = g.n
-    if n > limit:
+    if g.n > limit:
         return None
-    mask = 0
-    for j in range(1, n):
-        # the edges (i, j), i < j, sit at positions j(j-1)/2 + i of edge_order
-        mask |= (g.adj[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
-    return n, _class_table(n)[mask]
+    return g.n, _class_table(g.n)[g.edge_mask()]
 
 
 def graph_canonical_tree_key(g: Graph) -> str:
@@ -248,35 +230,33 @@ def enumerate_tree_classes(n: int) -> list[Graph]:
 # seeded random connected graphs
 
 def random_connected(n: int, count: int, seed: int, edge_prob: float = 0.5,
-                     budget: int = 10_000) -> list[Graph]:
-    """count connected graphs of order n drawn from G(n, edge_prob).
+                     budget: int = 10_000) -> Iterator[Graph]:
+    """Yield count connected graphs of order n drawn from G(n, edge_prob).
 
-    Rejection sampling on one splitmix64 stream; raises RejectionBudgetError
-    when budget consecutive draws stay disconnected (raise edge_prob).
+    Rejection sampling on one splitmix64 stream, one draw per edge position in
+    edge-mask order; raises RejectionBudgetError when budget consecutive draws
+    stay disconnected (raise edge_prob), and argument errors on the first next().
     """
     if not 2 <= n <= RANDOM_LIMIT:
         raise ValueError(f"random corpus supports 2 <= n <= {RANDOM_LIMIT}")
     if not 0.0 < edge_prob <= 1.0:
         raise ValueError("edge_prob must be in (0, 1]")
     threshold = int(edge_prob * (1 << 64))
-    pairs = edge_order(n)
+    positions = range(n * (n - 1) // 2)
     stream = splitmix64(seed)
-    out = []
-    while len(out) < count:
+    for _ in range(count):
         for _ in range(budget):
-            adj = [0] * n
-            for i, j in pairs:
+            mask = 0
+            for p in positions:
                 if next(stream) < threshold:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-            g = Graph(n, adj)
+                    mask |= 1 << p
+            g = Graph.from_edge_mask(n, mask)
             if _component_count(g, g.full_mask) == 1:
-                out.append(g)
+                yield g
                 break
         else:
             raise RejectionBudgetError(
                 f"no connected graph on {n} vertices in {budget} draws at p={edge_prob}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +287,17 @@ class Corpus:
                     yield from random_connected(s, count // span + (j < count % span),
                                                 seed + s, prob)
             elif kind == "file":
-                from .graphs import parse_graph6
-                with open(args) as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if line.startswith(">>graph6<<"):
-                            line = line[len(">>graph6<<"):]
-                        if line:
-                            yield parse_graph6(line)
+                with open(args, "rb") as fh:
+                    # room for a "\r\n" line ending after the longest valid line
+                    lines = iter(lambda: fh.readline(GRAPH6_LINE_LIMIT + 2), b"")
+                    for lineno, line in enumerate(lines, 1):
+                        try:
+                            if len(line.rstrip(b"\r\n")) > GRAPH6_LINE_LIMIT:
+                                raise GraphFormatError(f"longer than {GRAPH6_LINE_LIMIT} bytes")
+                            if line.strip():
+                                yield parse_graph6(line.strip())
+                        except GraphFormatError as exc:
+                            raise GraphFormatError(f"{args} line {lineno}: {exc}") from None
             else:
                 raise ValueError(f"unknown corpus part {kind!r}")
 
@@ -325,7 +308,7 @@ def parse_corpus_spec(text: str, default_seed: int | None = None) -> Corpus:
     all_labeled(N)                            orders 1..N, exhaustive, N <= 7
     trees(<=N) or trees(N)                    class representatives, orders 2..N <= 10
     random_connected(n=LO..HI,COUNT,seed=S[,p=P])   2 <= LO <= HI <= 16, 0 < P <= 1
-    file(PATH)                                graph6 lines
+    file(PATH)                                graph6 lines of at most GRAPH6_LINE_LIMIT bytes
 
     default_seed fills in for a random_connected term that omits seed=.  Every
     bound is checked here, before any graph is built.

@@ -209,11 +209,12 @@ def construct_diam2(a: int) -> Graph:
     if n > MAX_VERTICES:
         raise ValueError(f"order {n} exceeds {MAX_VERTICES} (a <= 10)")
     edges = []
+    y = a
     for j in range(1, a):
         for i in range(j):
-            y = a + j * (j - 1) // 2 + i
             edges.append((i, y))
             edges.append((j, y))
+            y += 1
     for y1 in range(a, n):
         for y2 in range(y1 + 1, n):
             edges.append((y1, y2))

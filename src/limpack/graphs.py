@@ -39,6 +39,10 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# the edge (i, j) of every edge-mask position, in graph6 order: (0,1), (0,2), (1,2), (0,3), ...
+_EDGE_PAIRS = tuple((i, j) for j in range(1, MAX_VERTICES) for i in range(j))
+
+
 class Graph:
     """Immutable simple graph on at most 64 vertices."""
 
@@ -79,6 +83,30 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return cls(n, adj)
+
+    @classmethod
+    def from_edge_mask(cls, n: int, mask: int) -> "Graph":
+        """Inverse of edge_mask; a bit at or above n(n-1)/2 is rejected."""
+        if not 0 <= n <= MAX_VERTICES:
+            raise ValueError(f"order {n} outside 0..{MAX_VERTICES}")
+        if mask >> (n * (n - 1) // 2):
+            raise ValueError(f"edge mask has a bit at or above n(n-1)/2 = {n * (n - 1) // 2}")
+        adj = [0] * n
+        # a low-bit loop: this builds every graph of all_labeled(N)
+        while mask:
+            low = mask & -mask
+            i, j = _EDGE_PAIRS[low.bit_length() - 1]
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            mask ^= low
+        return cls(n, adj)
+
+    def edge_mask(self) -> int:
+        """The graph6 edge mask: the edge (i, j), i < j, is bit j(j-1)/2 + i."""
+        mask = 0
+        for j in range(1, self.n):
+            mask |= (self.adj[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
+        return mask
 
     @property
     def full_mask(self) -> int:
@@ -145,12 +173,21 @@ def disjoint_union(*graphs: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # graph6 codec (printable bytes 63..126, upper triangle column-major)
 
+_GRAPH6_HEADER = b">>graph6<<"
+# the longest valid graph6 line: the header, a 4-byte order and 336 body bytes
+GRAPH6_LINE_LIMIT = len(_GRAPH6_HEADER) + 4 + (MAX_VERTICES * (MAX_VERTICES - 1) // 2 + 5) // 6
+# each body byte holds six edge positions, the lowest one in its high bit
+_REVERSED6 = [int(f"{x:06b}"[::-1], 2) for x in range(64)]
+
+
 def parse_graph6(text: str | bytes) -> Graph:
+    """Graph from graph6 text or bytes; a leading >>graph6<< header is skipped
+    (error offsets count from after it)."""
     if isinstance(text, str):
         data = text.encode("ascii", errors="replace")
     else:
         data = bytes(text)
-    data = data.rstrip(b"\r\n")
+    data = data.rstrip(b"\r\n").removeprefix(_GRAPH6_HEADER)
     if not data:
         raise GraphFormatError("empty graph6 input", 0)
 
@@ -183,33 +220,15 @@ def parse_graph6(text: str | bytes) -> Graph:
     if len(data) - pos > nbytes:
         raise GraphFormatError("trailing garbage after graph6 body", pos + nbytes)
 
-    adj = [0] * n
-    bit_index = 0
-    for i in range(nbytes):
-        b = data[pos + i]
+    mask = 0
+    for i, b in enumerate(data[pos:]):
         if not 63 <= b <= 126:
             raise GraphFormatError(f"byte {b} outside graph6 range 63..126", pos + i)
-        chunk = b - 63
-        for j in range(5, -1, -1):
-            if bit_index >= nbits:
-                if chunk >> j & 1:
-                    raise GraphFormatError("nonzero padding bits", pos + i)
-                continue
-            if chunk >> j & 1:
-                u, v = _triangle_pair(bit_index)
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            bit_index += 1
-    return Graph(n, adj)
-
-
-def _triangle_pair(bit_index: int) -> tuple[int, int]:
-    # column-major upper triangle: (0,1), (0,2), (1,2), (0,3), ...
-    v = 1
-    while v * (v - 1) // 2 <= bit_index:
-        v += 1
-    v -= 1
-    return bit_index - v * (v - 1) // 2, v
+        mask |= _REVERSED6[b - 63] << 6 * i
+    # positions at or above nbits can only be in the last byte
+    if mask >> nbits:
+        raise GraphFormatError("nonzero padding bits", len(data) - 1)
+    return Graph.from_edge_mask(n, mask)
 
 
 def emit_graph6(g: Graph) -> str:
@@ -218,19 +237,8 @@ def emit_graph6(g: Graph) -> str:
         head = [n + 63]
     else:
         head = [126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
-    body = []
-    chunk = 0
-    filled = 0
-    for v in range(1, n):
-        for u in range(v):
-            chunk = chunk << 1 | (g.adj[u] >> v & 1)
-            filled += 1
-            if filled == 6:
-                body.append(chunk + 63)
-                chunk = 0
-                filled = 0
-    if filled:
-        body.append((chunk << (6 - filled)) + 63)
+    mask = g.edge_mask()
+    body = [_REVERSED6[mask >> i & 63] + 63 for i in range(0, n * (n - 1) // 2, 6)]
     return bytes(head + body).decode("ascii")
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import limpack.bounds as bounds_mod
 import limpack.campaign as campaign_mod
-from limpack import Graph, profile
+from limpack import Graph, emit_graph6, profile
 from limpack.campaign import (ALL_THEOREM_IDS, REGISTRY, Evaluator, GraphFacts,
                               Outcome, replay_violation, run_campaign)
 from limpack.corpus import labeled_class, parse_corpus_spec
@@ -121,6 +121,19 @@ def test_injected_failure_and_replay():
     # violations are replayable from their recorded coordinates
     out = replay_violation("fake-id", first["graph6"], registry=registry)
     assert out.detail == "always broken"
+
+
+def test_standalone_sweep_violations(monkeypatch):
+    # a closed formula off by one at k = 2 breaks every path at that k only
+    closed_form = bounds_mod.closed_form
+    monkeypatch.setattr(bounds_mod, "closed_form",
+                        lambda family, size, k: closed_form(family, size, k) + (k == 2))
+    v = run_campaign(["lem-path-formula"], [], (1,)).verdicts[0]
+    assert v.status == "fail"
+    assert (v.graphs_checked, v.substantive_checks, v.positive_cases) == (12, 48, 36)
+    assert len(v.violations) == 12
+    assert v.violations[0] == {"graph6": emit_graph6(Graph.empty(1)), "k": 2,
+                               "detail": "path n=1: oracle=1, formula=2"}
 
 
 def test_replay_violation_real_id():

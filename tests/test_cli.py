@@ -305,6 +305,15 @@ def test_verify_file_corpus_above_oracle_limit(tmp_path, capsys):
     assert "lem-kgamma: pass (graphs=3, substantive=9," in out
 
 
+def test_verify_file_corpus_bad_line_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "bad.g6"
+    corpus.write_text(">>graph6<<BW\n\nB!\n")
+    rc, out, err = run(capsys, "verify", "--theorems", "all",
+                       "--corpus", f"file({corpus})", "--k", "1")
+    assert rc == 2 and out == ""
+    assert err == f"error: {corpus} line 3: byte 33 outside graph6 range 63..126 (byte 1)\n"
+
+
 def test_verify_stats_on_stderr_only(tmp_path, capsys):
     argv = ["verify", "--theorems", "all", "--corpus",
             "all_labeled(4)+trees(<=6)+random_connected(n=7..8,4,seed=1)", "--k", "1..2"]

@@ -5,13 +5,14 @@ from itertools import islice
 import pytest
 
 import limpack.corpus as corpus_mod
-from limpack import Graph, bits, emit_graph6, profile
+from limpack import Graph, GraphFormatError, bits, emit_graph6, profile
 from limpack.campaign import run_campaign
 from limpack.corpus import (RejectionBudgetError,
                             enumerate_labeled_graphs, enumerate_labeled_trees,
                             enumerate_tree_classes, graph_canonical_tree_key,
                             labeled_class, parse_corpus_spec, prufer_decode,
                             random_connected, splitmix64, tree_canonical_key)
+from limpack.graphs import GRAPH6_LINE_LIMIT
 
 LABELED_COUNTS = {1: 1, 2: 2, 3: 8, 4: 64, 5: 1024, 6: 32768}
 TREE_CLASS_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
@@ -223,6 +224,25 @@ def test_corpus_file_term(tmp_path):
     path.write_text(">>graph6<<BW\n\nA_\nDhC\n")
     corpus = parse_corpus_spec(f"file({path})")
     assert [g.n for g in corpus] == [3, 2, 5]
+
+
+def test_corpus_file_lines_bounded_and_numbered(tmp_path):
+    path = tmp_path / "batch.g6"
+    # the longest valid line: header, extended order and 336 body bytes
+    longest = ">>graph6<<" + emit_graph6(Graph.from_edge_mask(64, (1 << 2016) - 1))
+    assert len(longest) == GRAPH6_LINE_LIMIT == 350
+    path.write_text(f"{longest}\r\n\n  BW \n")
+    assert [g.n for g in parse_corpus_spec(f"file({path})")] == [64, 3]
+    for lines, lineno, message in (
+            (["BW", "", "B!"], 3, "byte 33 outside graph6 range 63..126 (byte 1)"),
+            (["BW", "Dé"], 2, "byte 195 outside graph6 range 63..126 (byte 1)"),
+            (["BW", ">>graph6<<"], 2, "empty graph6 input (byte 0)"),
+            (["BW", longest + " "], 2, "longer than 350 bytes"),
+            (["BW", "?" * 5000, "BW"], 2, "longer than 350 bytes")):
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GraphFormatError) as err:
+            list(parse_corpus_spec(f"file({path})"))
+        assert str(err.value) == f"{path} line {lineno}: {message}"
 
 
 def test_corpus_spec_errors():

@@ -142,6 +142,33 @@ def test_graph6_accepts_bytes_and_newline():
     assert parse_graph6(b"BW\n") == parse_graph6("BW")
 
 
+def test_graph6_header_prefix():
+    assert parse_graph6(">>graph6<<BW") == parse_graph6(b">>graph6<<BW\n") == parse_graph6("BW")
+    # offsets count from after the header
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph6(">>graph6<<B" + chr(20))
+    assert err.value.offset == 1
+    with pytest.raises(GraphFormatError, match="empty graph6 input"):
+        parse_graph6(">>graph6<<")
+
+
+def test_edge_mask_order_and_bounds():
+    # graph6 order: the edge (i, j), i < j, is bit j(j-1)/2 + i
+    for p, edge in enumerate([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]):
+        g = Graph.from_edges(4, [edge])
+        assert g.edge_mask() == 1 << p and Graph.from_edge_mask(4, 1 << p) == g
+    for n in (0, 1, 2, 7, 63, 64):
+        top = n * (n - 1) // 2
+        assert Graph.from_edge_mask(n, (1 << top) - 1).edge_count() == top
+        with pytest.raises(ValueError, match="at or above"):
+            Graph.from_edge_mask(n, 1 << top)
+    with pytest.raises(ValueError):
+        Graph.from_edge_mask(3, -1)
+    for n in (-1, 65):
+        with pytest.raises(ValueError, match="outside"):
+            Graph.from_edge_mask(n, 1)
+
+
 def test_graph6_error_offsets():
     with pytest.raises(GraphFormatError):
         parse_graph6("")
@@ -166,6 +193,9 @@ def test_graph6_rejects_nonzero_padding():
     assert parse_graph6("A_") == Graph.from_edges(2, [(0, 1)])
     with pytest.raises(GraphFormatError):
         parse_graph6("A" + chr(95 + 1))
+    # the first padding bit, right after the last edge position
+    with pytest.raises(GraphFormatError, match="nonzero padding bits"):
+        parse_graph6("A" + chr(63 + 0b110000))
 
 
 # ---------------------------------------------------------------------------

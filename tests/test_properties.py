@@ -1,8 +1,11 @@
-"""Property tests (hypothesis) for every exact solver.
+"""Property tests (hypothesis) for every exact solver and the graph6 codec.
 
 Feasible witnesses for every method and parameter, invariance under
-relabeling, and additivity over disjoint unions.  Skipped without hypothesis.
+relabeling, additivity over disjoint unions, graph6 and edge-mask round trips,
+and graph6 parsing of arbitrary input.  Skipped without hypothesis.
 """
+import random
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -10,12 +13,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from limpack import (Graph, UndefinedParameterError, disjoint_union,  # noqa: E402
-                     domination_number, is_dominating_set, is_k_limited_packing,
+from limpack import (Graph, GraphFormatError, UndefinedParameterError,  # noqa: E402
+                     disjoint_union, domination_number, emit_graph6,
+                     is_dominating_set, is_k_limited_packing,
                      is_open_packing, is_total_dominating_set,
                      limited_packing_bb, limited_packing_number,
                      limited_packing_oracle, open_packing_number,
-                     total_domination_number)
+                     parse_graph6, total_domination_number)
 
 
 @st.composite
@@ -73,3 +77,59 @@ def test_disjoint_union_additive(g, h):
     assert lu == tuple(a + b for a, b in zip(lg, lh))
     assert (gamma_u, rho_u) == (gamma_g + gamma_h, rho_g + rho_h)
     assert tu == (None if None in (tg, th) else tg + th)
+
+
+@st.composite
+def graphs_of_order(draw, orders) -> Graph:
+    """A seeded G(n, p): n = 64 has 2,016 edge positions, too many to draw one by one."""
+    n = draw(orders)
+    p = draw(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+
+
+# the extended order header starts at n = 63, so 62..64 are always drawn
+@pytest.mark.parametrize("orders", [st.integers(0, 64), st.just(62), st.just(63), st.just(64)],
+                         ids=["0..64", "62", "63", "64"])
+@PROPERTY
+@given(data=st.data())
+def test_graph6_and_edge_mask_round_trip(orders, data):
+    g = data.draw(graphs_of_order(orders))
+    text = emit_graph6(g)
+    assert text.startswith("~") == (g.n >= 63)
+    assert parse_graph6(text) == parse_graph6(">>graph6<<" + text) == g
+    assert Graph.from_edge_mask(g.n, g.edge_mask()) == g
+
+
+_GRAPH6_LIKE = st.builds(lambda head, body: head + bytes(body),
+                         st.sampled_from((b"", b">>graph6<<", b"~", b"~?A", b"~?@")),
+                         st.lists(st.integers(58, 130), max_size=400))
+
+
+@st.composite
+def mutated_graph6(draw) -> bytes:
+    """Valid graph6 with one bit flipped, or one byte dropped or inserted.
+
+    Small orders, so the last byte with its padding bits is often the one changed.
+    """
+    data = bytearray(emit_graph6(draw(graphs_of_order(st.integers(0, 16)))).encode())
+    i = draw(st.integers(0, len(data) - 1))
+    edit = draw(st.sampled_from(("flip", "drop", "insert")))
+    if edit == "flip":
+        data[i] ^= 1 << draw(st.integers(0, 7))
+    elif edit == "drop":
+        del data[i]
+    else:
+        data.insert(i, draw(st.integers(0, 255)))
+    return bytes(data)
+
+
+@PROPERTY
+@given(st.one_of(st.binary(max_size=400), st.text(max_size=400), _GRAPH6_LIKE,
+                 mutated_graph6()))
+def test_parse_graph6_raises_only_format_errors(data):
+    try:
+        g = parse_graph6(data)
+    except GraphFormatError:
+        return
+    assert parse_graph6(emit_graph6(g)) == g
