@@ -465,16 +465,27 @@ def _rows(evs: list[Evaluator], facts: GraphFacts, ks: list[int], interned: dict
     return tuple(rows)
 
 
-def _tally(verdicts: list[TheoremVerdict], rows: tuple, g: Graph) -> None:
+def _count(verdicts: list[TheoremVerdict], rows: tuple, graphs: int) -> None:
+    """Add rows to the verdicts' counts once for each of `graphs` graphs."""
+    for v, (substantive, positives, _) in zip(verdicts, rows):
+        v.graphs_checked += graphs
+        v.substantive_checks += substantive * graphs
+        v.positive_cases += positives * graphs
+
+
+def _record(verdicts: list[TheoremVerdict], rows: tuple, g: Graph) -> None:
+    """Append the violations in rows under g's graph6."""
     g6 = None
-    for v, (substantive, positives, bad) in zip(verdicts, rows):
-        v.graphs_checked += 1
-        v.substantive_checks += substantive
-        v.positive_cases += positives
+    for v, (_, _, bad) in zip(verdicts, rows):
         for k, detail in bad:
             if g6 is None:
                 g6 = emit_graph6(g)
             v.violations.append({"graph6": g6, "k": k, "detail": detail})
+
+
+def _tally(verdicts: list[TheoremVerdict], rows: tuple, g: Graph) -> None:
+    _count(verdicts, rows, 1)
+    _record(verdicts, rows, g)
 
 
 def _violation_key(v: dict):
@@ -491,9 +502,13 @@ def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
 
     Per-graph evaluators run once per isomorphism class of order <= 6, or <= 7
     for a corpus with an all_labeled(7) term (corpus.labeled_class,
-    Corpus.class_limit); later members reuse the class's counts and details
-    under their own graph6.  So evaluators, custom registry ones included, must
-    depend only on isomorphism invariants; the graph6 comes from the record.
+    Corpus.class_limit).  A class keeps its rows and a count of its members;
+    a later member adds one to the count, and its graph6 is emitted only when
+    the rows carry a violation, which it then records under its own graph6.
+    The counts enter the verdicts once per class, as rows times members.  So
+    evaluators, custom registry ones included, must depend only on isomorphism
+    invariants; the graph6 comes from the record.  Larger graphs and the
+    supplements are tallied one by one.
     """
     registry = REGISTRY if registry is None else registry
     ids = list(dict.fromkeys(theorem_ids))
@@ -515,13 +530,20 @@ def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
         for g in corpus:
             graphs += 1
             key = labeled_class(g, class_limit)
-            rows = by_class.get(key)
-            if rows is None:
+            entry = by_class.get(key)
+            if entry is None:
                 evaluated += 1
                 rows = _rows(evs, GraphFacts(g), ks, interned)
-                if key is not None:
-                    by_class[key] = rows
-            _tally(targets, rows, g)
+                if key is None:
+                    _tally(targets, rows, g)
+                    continue
+                # [rows, members so far, whether the rows carry a violation]
+                entry = by_class[key] = [rows, 0, any(bad for _, _, bad in rows)]
+            entry[1] += 1
+            if entry[2]:
+                _record(targets, entry[0], g)
+        for rows, members, _ in by_class.values():
+            _count(targets, rows, members)
     for tid in ids:
         ev = registry[tid]
         if ev.kind == "standalone":

@@ -18,14 +18,23 @@ from .corpus import parse_corpus_spec
 from .extremal import (build_from_spec, check_Lk_equals_k,
                        is_spider_below_max_degree, recognize_class_G,
                        recognize_class_T, recognize_spider)
-from .graphs import (MAX_VERTICES, Graph, GraphFormatError, bits, emit_graph6,
-                     parse_edge_list, parse_graph6, profile)
+from .graphs import (EDGE_LIST_LIMIT, MAX_VERTICES, Graph, GraphFormatError, bits,
+                     emit_graph6, parse_edge_list, parse_graph6, profile)
 
 def _load_graph(spec: str) -> Graph:
-    """graph6 text, or @path to a file holding graph6 or an 'n m' edge list."""
+    """graph6 text, or @path to a file holding graph6 or an 'n m' edge list.
+
+    The file is read only up to EDGE_LIST_LIMIT bytes, the longest valid input;
+    a longer file is an error.
+    """
     if spec.startswith("@"):
-        with open(spec[1:]) as fh:
-            text = fh.read()
+        path = spec[1:]
+        with open(path, "rb") as fh:
+            data = fh.read(EDGE_LIST_LIMIT + 1)
+        if len(data) > EDGE_LIST_LIMIT:
+            raise GraphFormatError(f"{path}: longer than {EDGE_LIST_LIMIT} bytes, the longest "
+                                   f"edge list of a graph with {MAX_VERTICES} vertices")
+        text = data.decode()
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise GraphFormatError("graph file is empty", 0)

@@ -182,9 +182,15 @@ _REVERSED6 = [int(f"{x:06b}"[::-1], 2) for x in range(64)]
 
 def parse_graph6(text: str | bytes) -> Graph:
     """Graph from graph6 text or bytes; a leading >>graph6<< header is skipped
-    (error offsets count from after it)."""
+    (error offsets count from after it).  Text must be ASCII: a str offset
+    counts characters, which equals bytes up to the first non-ASCII one."""
     if isinstance(text, str):
-        data = text.encode("ascii", errors="replace")
+        try:
+            data = text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            at = len(text[:exc.start].encode().removeprefix(_GRAPH6_HEADER))
+            raise GraphFormatError(
+                f"character U+{ord(text[exc.start]):04X} outside graph6 range 63..126", at) from None
     else:
         data = bytes(text)
     data = data.rstrip(b"\r\n").removeprefix(_GRAPH6_HEADER)
@@ -244,6 +250,12 @@ def emit_graph6(g: Graph) -> str:
 
 # ---------------------------------------------------------------------------
 # edge-list format: first line "n m", then m lines "u v" (0-based)
+
+# the longest edge list format_edge_list writes, with CRLF line ends: order 64
+# and all 2,016 edges (far longer than any graph6 line)
+EDGE_LIST_LIMIT = (len(f"{MAX_VERTICES} {len(_EDGE_PAIRS)}\r\n")
+                   + len(_EDGE_PAIRS) * len(f"{MAX_VERTICES - 2} {MAX_VERTICES - 1}\r\n"))
+
 
 def parse_edge_list(text: str) -> Graph:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]

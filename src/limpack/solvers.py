@@ -5,9 +5,11 @@ Two exact routes for the k-limited packing number: a subset-enumeration oracle
 admits.  The companion parameters rho0, gamma and gamma_t go through the same
 branch-and-bound engine, at every order.  All are deterministic: the oracle
 returns the smallest bitmask among maximum solutions, branch and bound the
-first optimum in its search order.
+first optimum in its search order.  limited_packing_number's default
+("auto") sends n <= 12 to the oracle and larger orders to branch and bound.
 GraphFacts caches these values for one graph, for the bound panel and the
-campaign.
+campaign; it solves L_k by branch and bound at every order, so the oracle
+stays an independent check of what the campaign reads.
 """
 from __future__ import annotations
 
@@ -151,6 +153,9 @@ def _search(rows: list[int], cap: int, sense: str) -> SolveResult:
     rest = [0] * (n + 1)  # rest[pos]: mask of order[pos:]
     for pos in range(n - 1, -1, -1):
         rest[pos] = rest[pos + 1] | (1 << order[pos])
+    # lists, not tuples: freed tuples of these sizes collect in CPython's tuple
+    # free lists, which added about 1 MB to peak RSS over many searches
+    members = [list(bits(row)) for row in rows]
     best = 0
     best_mask = 0
     caps = [cap] * n
@@ -175,13 +180,13 @@ def _search(rows: list[int], cap: int, sense: str) -> SolveResult:
         v = order[pos]
         if not (blocked >> v) & 1:
             saved = blocked
-            for u in bits(rows[v]):
+            for u in members[v]:
                 caps[u] -= 1
                 if caps[u] == 0:
                     blocked |= rows[u]
             walk(pos + 1, chosen + 1, chosen_mask | (1 << v))
             blocked = saved
-            for u in bits(rows[v]):
+            for u in members[v]:
                 caps[u] += 1
         walk(pos + 1, chosen, chosen_mask)
 
@@ -262,11 +267,11 @@ def total_domination_number(g: Graph) -> SolveResult:
 class GraphFacts:
     """Lazily computed exact parameters for one graph.
 
-    Solver policy is limited_packing_number's default: subset oracle through
-    12 vertices, branch and bound beyond.  gamma, rho0 and gamma_t always go
-    through branch and bound.  The campaign's evaluators and the bound table
-    read these attributes; run_campaign evaluates one graph per isomorphism
-    class of order <= 6, so evaluators read only invariants.
+    Every value, L_k of the graph and of its complement included, comes from
+    branch and bound at every order; only values are read, so which optimum
+    a solver returns does not matter here.  The campaign's evaluators and the
+    bound table read these attributes; run_campaign evaluates one graph per
+    isomorphism class of order <= 6, so evaluators read only invariants.
     """
 
     def __init__(self, g: Graph):
@@ -281,7 +286,7 @@ class GraphFacts:
 
     def lk(self, k: int) -> int:
         if k not in self._lk:
-            self._lk[k] = limited_packing_number(self.g, k).value
+            self._lk[k] = limited_packing_bb(self.g, k).value
         return self._lk[k]
 
     @property
@@ -295,7 +300,7 @@ class GraphFacts:
     def lk_bar(self, k: int) -> int:
         """L_k of the complement."""
         if k not in self._lk_bar:
-            self._lk_bar[k] = limited_packing_number(self._complement, k).value
+            self._lk_bar[k] = limited_packing_bb(self._complement, k).value
         return self._lk_bar[k]
 
     @cached_property

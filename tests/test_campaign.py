@@ -6,7 +6,7 @@ import pytest
 import limpack.bounds as bounds_mod
 import limpack.campaign as campaign_mod
 from limpack import Graph, emit_graph6, profile
-from limpack.campaign import (ALL_THEOREM_IDS, REGISTRY, Evaluator, GraphFacts,
+from limpack.campaign import (ALL_THEOREM_IDS, REGISTRY, SKIP, Evaluator, GraphFacts,
                               Outcome, replay_violation, run_campaign)
 from limpack.corpus import labeled_class, parse_corpus_spec
 
@@ -258,3 +258,63 @@ def test_campaign_calls_each_recognizer_once_per_class(monkeypatch):
     combs = REGISTRY["th-classT-characterization"].supplements()
     assert len(calls["is_spider_below_max_degree"]) == trees + len(spiders)
     assert len(calls["recognize_class_T"]) == trees + len(combs)
+
+
+def _four_edges(f: GraphFacts, k: int = None) -> Outcome:
+    """Planted: fails every graph with exactly four edges, positive on connected ones."""
+    if f.g.edge_count() == 4:
+        return Outcome(True, False, f"four edges at k={k}")
+    if f.n < (k or 1):
+        return SKIP
+    return Outcome(True, f.profile.connected)
+
+
+def test_multiplicity_tally_matches_graph_by_graph():
+    registry = dict(REGISTRY)
+    registry["planted-once"] = Evaluator("once", fn=_four_edges)
+    registry["planted-per-k"] = Evaluator("per_k", fn=_four_edges)
+    ids = ["planted-once", "planted-per-k", "lem-kgamma", "th-ng-upper", "cor-classG",
+           "lem-monotone-chain"]
+    spec = "all_labeled(5)+trees(<=7)+random_connected(n=7..8,6,seed=3)"
+    ks = (1, 2, 3)
+    report = run_campaign(ids, parse_corpus_spec(spec), ks, registry=registry)
+    # the reference: every graph evaluated and tallied on its own
+    expect = {tid: {"theorem_id": tid, "graphs_checked": 0, "substantive_checks": 0,
+                    "positive_cases": 0, "violations": []} for tid in ids}
+    for g in parse_corpus_spec(spec):
+        facts = GraphFacts(g)
+        for tid in ids:
+            ev = registry[tid]
+            outs = ([(None, ev.fn(facts))] if ev.kind == "once" else
+                    [(k, ev.fn(facts, k)) for k in ks])
+            e = expect[tid]
+            e["graphs_checked"] += 1
+            for k, out in outs:
+                e["substantive_checks"] += out.substantive
+                e["positive_cases"] += out.substantive and out.positive
+                if out.detail is not None:
+                    e["violations"].append({"graph6": emit_graph6(g), "k": k,
+                                            "detail": out.detail})
+    for e in expect.values():
+        e["violations"].sort(key=campaign_mod._violation_key)
+        e["status"] = ("fail" if e["violations"] else
+                       "vacuous" if e["substantive_checks"] == 0 else "pass")
+    assert [v.as_dict() for v in report.verdicts] == [expect[tid] for tid in sorted(ids)]
+    by_id = {v.theorem_id: v for v in report.verdicts}
+    # four edges: 15 labeled graphs of order 4, 210 of order 5 and the 3 trees
+    # of order 5, each a member of a cached class
+    assert len(by_id["planted-once"].violations) == 15 + 210 + 3
+    assert len(by_id["planted-per-k"].violations) == 3 * 228
+    # 1,099 labeled graphs in 52 classes, 24 trees of orders 2..7 (the 17 of
+    # orders 6 and 7 are new classes) and 6 random graphs above the cached orders
+    assert (report.graphs, report.classes_evaluated, report.class_hits) == (1129, 75, 1054)
+
+
+def test_per_graph_path_makes_no_oracle_call(monkeypatch):
+    def refuse(g, k):
+        raise AssertionError("the subset oracle was called")
+    monkeypatch.setattr(campaign_mod.solvers, "limited_packing_oracle", refuse)
+    ids = [tid for tid, ev in REGISTRY.items() if ev.kind != "standalone"]
+    corpus = parse_corpus_spec("all_labeled(5)+random_connected(n=8..12,10,seed=1)")
+    report = run_campaign(ids, corpus, (1, 2, 3))
+    assert not report.failed and report.classes_evaluated == 52 + 10

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from limpack import build_from_spec, emit_graph6
+from limpack import build_from_spec, cli, emit_graph6
 from limpack.cli import main
+from limpack.graphs import EDGE_LIST_LIMIT
 
 
 def run(capsys, *argv):
@@ -82,6 +83,44 @@ def test_graph_from_graph6_file_with_header(tmp_path, capsys):
     path.write_text(">>graph6<<DhC\n")
     rc, out, _ = run(capsys, "solve", "--graph", f"@{path}", "--k", "2")
     assert rc == 0 and out == "4\n"
+
+
+def test_non_ascii_graph_exits_2(capsys):
+    rc, out, err = run(capsys, "solve", "--graph", "Aé", "--k", "1")
+    assert rc == 2 and out == ""
+    assert err == "error: character U+00E9 outside graph6 range 63..126 (byte 1)\n"
+
+
+def test_graph_file_bounded(tmp_path, capsys, monkeypatch):
+    # the longest valid file, K_64 as an edge list with CRLF line ends, still parses
+    edges = [(i, j) for j in range(64) for i in range(j)]
+    full = tmp_path / "k64.txt"
+    full.write_bytes(("64 2016\r\n" + "".join(f"{i:2d} {j:2d}\r\n" for i, j in edges)).encode())
+    assert full.stat().st_size == EDGE_LIST_LIMIT == 14121
+    rc, out, _ = run(capsys, "solve", "--graph", f"@{full}", "--k", "1")
+    assert rc == 0 and out == "1\n"
+    # one byte more, or millions of graph6 lines, exit 2 before the file is read:
+    # no read asks for more than one byte past the cap
+    sizes = []
+
+    def recording_open(path, mode="r"):
+        fh = open(path, mode)
+        read = fh.read
+        fh.read = lambda size=-1: sizes.append(size) or read(size)
+        return fh
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    over = tmp_path / "over.txt"
+    over.write_bytes(full.read_bytes() + b"\n")
+    huge = tmp_path / "huge.g6"
+    huge.write_bytes(b"BW\n" * 2_000_000)
+    for path in (over, huge):
+        t0 = time.monotonic()
+        rc, out, err = run(capsys, "solve", "--graph", f"@{path}", "--k", "1")
+        assert time.monotonic() - t0 < 0.05, path
+        assert rc == 2 and out == ""
+        assert err == (f"error: {path}: longer than 14121 bytes, the longest edge list "
+                       "of a graph with 64 vertices\n")
+    assert sizes == [EDGE_LIST_LIMIT + 1] * 2
 
 
 def test_params_runs_without_optional_packages(capsys):

@@ -188,6 +188,19 @@ def test_graph6_error_offsets():
         parse_graph6("~?@A")
 
 
+def test_graph6_rejects_non_ascii_text():
+    # a non-ASCII character is never read as a graph6 byte, and its offset
+    # counts characters from after a header
+    for text, at in (("Aé", 1), ("é", 0), ("A€", 1), (">>graph6<<B\u00e9", 1),
+                     ("DhC\U0001F600", 3), (">>grapé", 6)):
+        with pytest.raises(GraphFormatError, match="outside graph6 range") as err:
+            parse_graph6(text)
+        assert err.value.offset == at, text
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph6("Aé")
+    assert str(err.value) == "character U+00E9 outside graph6 range 63..126 (byte 1)"
+
+
 def test_graph6_rejects_nonzero_padding():
     # K_2 is 'A_' (bit 1 then five zero pads); force a pad bit on
     assert parse_graph6("A_") == Graph.from_edges(2, [(0, 1)])

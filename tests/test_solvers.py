@@ -10,7 +10,9 @@ from limpack import (Graph, OracleLimitError, UndefinedParameterError,
                      limited_packing_bb, limited_packing_number,
                      limited_packing_oracle, mask_of, open_packing_number,
                      total_domination_number)
-from limpack.corpus import enumerate_labeled_graphs, random_connected
+from limpack.corpus import (enumerate_labeled_graphs, labeled_class, parse_corpus_spec,
+                            random_connected)
+from limpack.solvers import GraphFacts
 
 
 def petersen() -> Graph:
@@ -190,6 +192,20 @@ def test_dispatch_policy():
     assert limited_packing_number(large, 1).method == "branch-and-bound"
     assert limited_packing_number(small, 1, method="bb").method == "branch-and-bound"
     assert limited_packing_number(large, 1, method="oracle").value == 5
+
+
+def test_graph_facts_lk_matches_oracle_on_class_representatives():
+    # GraphFacts solves L_k by branch and bound; the oracle checks every value
+    # the campaign reads for the 208 classes of order <= 6
+    first = {}
+    for g in parse_corpus_spec("all_labeled(6)"):
+        first.setdefault(labeled_class(g), g)
+    assert len(first) == 208
+    for g in first.values():
+        facts = GraphFacts(g)
+        for k in (1, 2, 3):
+            assert facts.lk(k) == limited_packing_oracle(g, k).value, (g, k)
+            assert facts.lk_bar(k) == limited_packing_oracle(complement(g), k).value, (g, k)
 
 
 # ---------------------------------------------------------------------------
