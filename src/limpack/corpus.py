@@ -96,52 +96,59 @@ def enumerate_labeled_trees(n: int) -> Iterator[Graph]:
         yield Graph.from_edges(n, prufer_decode(seq, n))
 
 
-def tree_canonical_key(n: int, adj_lists: list[list[int]]) -> str:
-    """AHU canonical form: exact up to isomorphism for trees."""
+# rooted-tree code -> small int; one entry per rooted tree class keyed so far
+_ROOTED_CODES: dict[tuple[int, ...], int] = {}
+
+
+def tree_canonical_key(n: int, adj_lists: list[list[int]]) -> tuple[int, ...]:
+    """AHU canonical form: equal exactly for isomorphic trees.
+
+    One layered leaf peel to the centre (Aho, Hopcroft & Ullman 1974): a
+    peeled vertex's code is the sorted tuple of its children's codes, interned
+    to a small int in a table shared by the process, so keys compare only
+    within one process.  The key is the sorted tuple of the one or two centre
+    codes; the null tree's is ().  Raises ValueError unless the input is a
+    tree, in O(n): m != n - 1 before peeling, else a cycle or a second
+    component when the peel stalls.
+    """
     if n == 0:
-        return ""
-    if n == 1:
-        return "()"
-    # peel leaves to find the one or two centres
+        return ()
+    ends = sum(map(len, adj_lists))
+    if ends != 2 * (n - 1):
+        raise ValueError(f"not a tree: {ends / 2:g} edges on {n} vertices, "
+                         f"where a tree has {n - 1}")
+    codes = _ROOTED_CODES
     degree = [len(a) for a in adj_lists]
+    kids: list[list[int]] = [[] for _ in range(n)]
+    peeled = [False] * n
     layer = [v for v in range(n) if degree[v] == 1]
-    removed = 0
-    alive = [True] * n
-    while n - removed > 2:
+    alive = n
+    while alive > 2:
+        if not layer:
+            raise ValueError(f"not a tree: the leaf peel stalls with {alive} vertices left, "
+                             "so it has a cycle")
+        alive -= len(layer)
         nxt = []
         for v in layer:
-            alive[v] = False
-            removed += 1
+            if degree[v] != 1:
+                # its last neighbour went earlier in this layer: a component of its own
+                raise ValueError("not a tree: it is disconnected")
+            peeled[v] = True
+            below = kids[v]
+            below.sort()
+            shape = tuple(below)
+            code = codes.get(shape)
+            if code is None:
+                code = codes[shape] = len(codes)
             for u in adj_lists[v]:
-                if alive[u]:
+                if not peeled[u]:
+                    kids[u].append(code)
                     degree[u] -= 1
                     if degree[u] == 1:
                         nxt.append(u)
         layer = nxt
-    centers = [v for v in range(n) if alive[v]]
-
-    def encode(root: int, block: int) -> str:
-        # iterative post-order; block is the neighbour not to cross
-        parent = {root: block}
-        order = [root]
-        idx = 0
-        while idx < len(order):
-            v = order[idx]
-            idx += 1
-            for u in adj_lists[v]:
-                if u != parent[v]:
-                    parent[u] = v
-                    order.append(u)
-        label = {}
-        for v in reversed(order):
-            kids = sorted(label[u] for u in adj_lists[v] if parent.get(u) == v and u != parent[v])
-            label[v] = "(" + "".join(kids) + ")"
-        return label[root]
-
-    if len(centers) == 1:
-        return encode(centers[0], -1)
-    a, b = centers
-    return "".join(sorted((encode(a, b), encode(b, a))))
+    return tuple(sorted(codes.setdefault(tuple(sorted(kids[v])), len(codes))
+                        for v in range(n) if not peeled[v]))
 
 
 @cache
@@ -197,7 +204,8 @@ def labeled_class(g: Graph, limit: int = CLASS_LIMIT) -> tuple[int, int] | None:
     return g.n, _class_table(g.n)[g.edge_mask()]
 
 
-def graph_canonical_tree_key(g: Graph) -> str:
+def graph_canonical_tree_key(g: Graph) -> tuple[int, ...]:
+    """tree_canonical_key of a Graph; ValueError unless g is a tree."""
     adj_lists = [list(bits(nb)) for nb in g.adj]
     return tree_canonical_key(g.n, adj_lists)
 
@@ -207,14 +215,17 @@ def enumerate_tree_classes(n: int) -> list[Graph]:
 
     Built by attaching a leaf everywhere on each (n-1)-class representative
     and deduplicating with the AHU form; every tree arises from a smaller one
-    by deleting a leaf, so this is exhaustive.  Output is sorted by canonical
-    key, so the representatives are deterministic.
+    by deleting a leaf, so this is exhaustive.  Each class is represented by
+    its first tree in generation order, and the output keeps that order: it
+    depends only on which trees are isomorphic, not on the interned codes,
+    which depend on what the process keyed before.
     """
     if n < 1:
         raise ValueError("tree classes need n >= 1")
-    reps = {"()": Graph.empty(1)}
+    k1 = Graph.empty(1)
+    reps = {graph_canonical_tree_key(k1): k1}
     for size in range(2, n + 1):
-        nxt: dict[str, Graph] = {}
+        nxt: dict[tuple[int, ...], Graph] = {}
         for g in reps.values():
             for v in range(g.n):
                 grown = Graph(size, tuple(nb | ((1 << (size - 1)) if u == v else 0)
@@ -223,7 +234,7 @@ def enumerate_tree_classes(n: int) -> list[Graph]:
                 if key not in nxt:
                     nxt[key] = grown
         reps = nxt
-    return [reps[key] for key in sorted(reps)]
+    return list(reps.values())
 
 
 # ---------------------------------------------------------------------------

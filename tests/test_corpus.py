@@ -1,6 +1,11 @@
 """Graph enumeration, deterministic RNG, and corpus-spec parsing."""
+import os
 import random
+import subprocess
+import sys
+import time
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +20,8 @@ from limpack.corpus import (RejectionBudgetError,
 from limpack.graphs import GRAPH6_LINE_LIMIT
 
 LABELED_COUNTS = {1: 1, 2: 2, 3: 8, 4: 64, 5: 1024, 6: 32768}
-TREE_CLASS_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
+# trees of order n up to isomorphism (OEIS A000055)
+TREE_CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +88,117 @@ def test_tree_canonical_key_invariance():
     assert graph_canonical_tree_key(a) != graph_canonical_tree_key(star)
     adj = [list(bits(a.adj[v])) for v in range(5)]
     assert tree_canonical_key(5, adj) == graph_canonical_tree_key(a)
+
+
+def string_ahu_key(n: int, adj_lists: list[list[int]]) -> str:
+    """Reference AHU key: peel to the centres, then one parenthesis string per centre."""
+    if n == 0:
+        return ""
+    if n == 1:
+        return "()"
+    degree = [len(a) for a in adj_lists]
+    layer = [v for v in range(n) if degree[v] == 1]
+    removed = 0
+    alive = [True] * n
+    while n - removed > 2:
+        nxt = []
+        for v in layer:
+            alive[v] = False
+            removed += 1
+            for u in adj_lists[v]:
+                if alive[u]:
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        nxt.append(u)
+        layer = nxt
+    centers = [v for v in range(n) if alive[v]]
+
+    def encode(root: int, block: int) -> str:
+        # iterative post-order; block is the neighbour not to cross
+        parent = {root: block}
+        order = [root]
+        idx = 0
+        while idx < len(order):
+            v = order[idx]
+            idx += 1
+            for u in adj_lists[v]:
+                if u != parent[v]:
+                    parent[u] = v
+                    order.append(u)
+        label = {}
+        for v in reversed(order):
+            kids = sorted(label[u] for u in adj_lists[v] if parent.get(u) == v and u != parent[v])
+            label[v] = "(" + "".join(kids) + ")"
+        return label[root]
+
+    if len(centers) == 1:
+        return encode(centers[0], -1)
+    a, b = centers
+    return "".join(sorted((encode(a, b), encode(b, a))))
+
+
+def test_tree_key_partition_matches_string_ahu():
+    # the integer key and the string key split every labeled tree alike
+    for n in range(1, 8):
+        trees = [Graph.empty(1)] if n == 1 else enumerate_labeled_trees(n)
+        pairs = set()
+        for t in trees:
+            adj = [list(bits(nb)) for nb in t.adj]
+            pairs.add((tree_canonical_key(n, adj), string_ahu_key(n, adj)))
+        keys, references = zip(*pairs)
+        assert len(set(keys)) == len(set(references)) == len(pairs) == TREE_CLASS_COUNTS[n]
+
+
+def test_tree_classes_independent_of_key(monkeypatch):
+    # representatives and their order depend only on the partition the key induces
+    ours = {n: [emit_graph6(g) for g in enumerate_tree_classes(n)] for n in TREE_CLASS_COUNTS}
+    monkeypatch.setattr(corpus_mod, "graph_canonical_tree_key",
+                        lambda g: string_ahu_key(g.n, [list(bits(nb)) for nb in g.adj]))
+    for n, reps in ours.items():
+        assert [emit_graph6(g) for g in enumerate_tree_classes(n)] == reps
+
+
+def test_tree_classes_order_independent_of_keying_history():
+    # interned codes depend on what the process keyed first; the corpus must not
+    code = ("from limpack import emit_graph6\n"
+            "from limpack.corpus import enumerate_tree_classes\n"
+            "print(' '.join(emit_graph6(g) for g in enumerate_tree_classes(9)))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=env, timeout=120, check=True).stdout.split()
+    rng = random.Random(2024)
+    for _ in range(1000):
+        n = rng.randint(2, 40)
+        seq = tuple(rng.randrange(n) for _ in range(n - 2))
+        graph_canonical_tree_key(Graph.from_edges(n, prufer_decode(seq, n)))
+    assert [emit_graph6(g) for g in enumerate_tree_classes(9)] == fresh
+    assert len(fresh) == TREE_CLASS_COUNTS[9]
+
+
+def test_tree_key_rejects_non_trees_fast():
+    cycle = [(v, (v + 1) % 32) for v in range(32)]
+    path = [(v, v + 1) for v in range(32, 63)]
+    cases = [
+        (4, [(0, 1), (1, 2), (2, 3), (3, 0)], "4 edges on 4 vertices, where a tree has 3"),  # C_4
+        (4, [(0, 1), (1, 2), (2, 0), (2, 3)], "4 edges on 4 vertices"),  # cycle with a pendant
+        (4, [(0, 1), (2, 3)], "2 edges on 4 vertices"),                  # two-edge forest
+        (2, [], "0 edges on 2 vertices, where a tree has 1"),
+        # n - 1 edges: the peel has to find the fault
+        (5, [(0, 1), (1, 2), (2, 0), (3, 4)], "disconnected"),          # triangle and an edge
+        (4, [(0, 1), (1, 2), (2, 0)], "stalls with 4 vertices left"),    # triangle and a vertex
+        (64, cycle + path, "disconnected"),                              # C_32 and P_32
+        # C_32 with a pendant path, and K_1
+        (64, cycle + [(0, 32)] + path[:-1], "stalls with 33 vertices left"),
+    ]
+    for n, edges, message in cases:
+        g = Graph.from_edges(n, edges)
+        adj = [list(bits(nb)) for nb in g.adj]
+        for call in (lambda: graph_canonical_tree_key(g), lambda: tree_canonical_key(n, adj)):
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError, match="not a tree: .*" + message):
+                call()
+            assert time.perf_counter() - t0 < 0.05, edges
 
 
 # graphs of order n up to isomorphism (OEIS A000088)

@@ -1,8 +1,9 @@
-"""Property tests (hypothesis) for every exact solver and the graph6 codec.
+"""Property tests (hypothesis) for every exact solver, the graph6 codec and tree keys.
 
 Feasible witnesses for every method and parameter, invariance under
 relabeling, additivity over disjoint unions, graph6 and edge-mask round trips,
-and graph6 parsing of arbitrary input.  Skipped without hypothesis.
+graph6 parsing of arbitrary input, and AHU tree keys against relabeling and
+networkx isomorphism.  Skipped without hypothesis.
 """
 import random
 
@@ -14,12 +15,14 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from limpack import (Graph, GraphFormatError, UndefinedParameterError,  # noqa: E402
-                     disjoint_union, domination_number, emit_graph6,
+                     bits, disjoint_union, domination_number, emit_graph6,
                      is_dominating_set, is_k_limited_packing,
                      is_open_packing, is_total_dominating_set,
                      limited_packing_bb, limited_packing_number,
                      limited_packing_oracle, open_packing_number,
                      parse_graph6, total_domination_number)
+from limpack.corpus import (graph_canonical_tree_key, prufer_decode,  # noqa: E402
+                            tree_canonical_key)
 
 
 @st.composite
@@ -133,3 +136,42 @@ def test_parse_graph6_raises_only_format_errors(data):
     except GraphFormatError:
         return
     assert parse_graph6(emit_graph6(g)) == g
+
+
+@st.composite
+def pruefer_trees(draw, min_n: int, max_n: int) -> Graph:
+    n = draw(st.integers(min_n, max_n))
+    if n == 1:
+        return Graph.empty(1)
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    return Graph.from_edges(n, prufer_decode(tuple(seq), n))
+
+
+@PROPERTY
+@given(pruefer_trees(1, 64), st.randoms(use_true_random=False))
+def test_tree_key_relabeling_invariant(t, rng):
+    perm = list(range(t.n))
+    rng.shuffle(perm)
+    relabeled = Graph.from_edges(t.n, [(perm[u], perm[v]) for u, v in t.edges()])
+    adj = [list(bits(nb)) for nb in relabeled.adj]
+    for nbs in adj:
+        rng.shuffle(nbs)
+    assert tree_canonical_key(t.n, adj) == graph_canonical_tree_key(t)
+
+
+# the same order for both trees most of the time, so isomorphic pairs are common
+TREE_PAIRS = (st.integers(1, 10).flatmap(lambda n: st.tuples(pruefer_trees(n, n),
+                                                             pruefer_trees(n, n)))
+              | st.tuples(pruefer_trees(1, 10), pruefer_trees(1, 10)))
+
+
+@PROPERTY
+@given(TREE_PAIRS)
+def test_tree_key_equal_exactly_for_isomorphic_trees(pair):
+    nx = pytest.importorskip("networkx")
+    a, b = pair
+    nx_a, nx_b = (nx.Graph(t.edges()) for t in pair)
+    nx_a.add_nodes_from(range(a.n))
+    nx_b.add_nodes_from(range(b.n))
+    same_key = graph_canonical_tree_key(a) == graph_canonical_tree_key(b)
+    assert same_key == nx.is_isomorphic(nx_a, nx_b)
