@@ -7,6 +7,7 @@ fixed key order so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -215,7 +216,13 @@ def cmd_verify(args) -> int:
     return 1 if report.failed else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main() call and reused after it.
+
+    parse_args leaves the parser unchanged, so one parser serves every call in
+    a process; it is not built at import.
+    """
     parser = argparse.ArgumentParser(
         prog="limpack",
         description="Exact k-limited packing numbers, bounds, and statement verification.")

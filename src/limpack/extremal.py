@@ -80,7 +80,10 @@ def recognize_class_G(g: Graph) -> ClassGWitness | None:
         if degs[v] != dmax:
             continue
         a0 = g.closed[v]
-        for pair in combinations(list(bits(a0)), 2):
+        # a pair vertex lies in B0, which holds all its neighbours outside A0,
+        # and a B0 vertex has at most one B0 neighbour
+        ends = [u for u in bits(a0) if (g.adj[u] & ~a0).bit_count() <= 1]
+        for pair in combinations(ends, 2):
             b0 = (full & ~a0) | mask_of(pair)
             if _class_g_witness_ok(g, a0, b0):
                 return ClassGWitness(a0, b0)

@@ -371,6 +371,8 @@ def _girth(g: Graph) -> int | None:
                     queue.append(u)
                 elif u != parent[v] and v != parent[u]:
                     cycle = dist[v] + dist[u] + 1
+                    if cycle == 3:  # no cycle is shorter
+                        return 3
                     if best is None or cycle < best:
                         best = cycle
     return best

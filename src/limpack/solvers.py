@@ -97,6 +97,9 @@ def _search(rows: list[int], cap: int, sense: str) -> SolveResult:
     inside rows, each holding at most min(|part|, capacity of the row): in
     branching order, every row with more free vertices than capacity takes
     them as a part, and each free vertex left over is a part of its own.
+    When no row takes a part, every free vertex fits at once: the branch
+    closes with all of them chosen, the leaf its include-first descent would
+    reach, since a row's capacity runs out only as its last free vertex joins.
 
     sense "min" (cover; cap is 1): the smallest S meeting every row.  Each
     node branches on the uncovered vertex with the fewest candidates (row
@@ -176,6 +179,10 @@ def _search(rows: list[int], cap: int, sense: str) -> SolveResult:
                 bound += caps[w]
                 free &= ~rw
         if bound + free.bit_count() <= best:
+            return
+        if bound == chosen:  # no row took a part: every free vertex fits
+            best = chosen + free.bit_count()
+            best_mask = chosen_mask | free
             return
         v = order[pos]
         if not (blocked >> v) & 1:

@@ -19,6 +19,14 @@ def run(capsys, *argv):
     return rc, cap.out, cap.err
 
 
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports limpack from src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
 def test_solve_plain(capsys):
     rc, out, err = run(capsys, "solve", "--graph", "DhC", "--k", "2")
     assert rc == 0 and out == "4\n" and err == ""
@@ -132,10 +140,7 @@ def test_params_runs_without_optional_packages(capsys):
             "    sys.modules[name] = None\n"
             "from limpack.cli import main\n"
             "sys.exit(main(['params', '--graph', 'DhC']))\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
     rc, out, _ = run(capsys, "params", "--graph", "DhC")
     assert rc == 0 and proc.stdout == out
@@ -367,3 +372,40 @@ def test_verify_stats_on_stderr_only(tmp_path, capsys):
     assert list(stats) == ["graphs", "classes_evaluated", "class_hits", "elapsed_s"]
     assert (stats["graphs"], stats["classes_evaluated"], stats["class_hits"]) == (92, 31, 61)
     assert stats["elapsed_s"] > 0
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+PANEL = [["params", "--graph", "FhCGG"],
+         ["bounds", "--graph", "FhCGG", "--k", "2", "--exact"],
+         ["ng", "--graph", "FhCGG", "--k", "2"],
+         ["solve", "--graph", "FhCGG", "--k", "2", "--witness"]]
+
+
+def test_cached_parser_repeats_first_output(capsys):
+    cli._build_parser.cache_clear()
+    first = [run(capsys, *argv) for argv in PANEL]
+    assert all(rc == 0 and out for rc, out, _ in first)
+    for _ in range(3):
+        assert [run(capsys, *argv) for argv in PANEL] == first
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4 * len(PANEL) - 1)
+
+
+def test_cached_parser_survives_failed_calls(capsys):
+    first = [run(capsys, *argv) for argv in PANEL]
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "params")                       # no --graph: argparse exits
+    assert exc.value.code == 2 and "--graph" in capsys.readouterr().err
+    assert [run(capsys, *argv) for argv in PANEL] == first
+    rc, out, err = run(capsys, "solve", "--graph", "B", "--k", "1")   # ValueError path
+    assert rc == 2 and out == "" and err.startswith("error:")
+    assert [run(capsys, *argv) for argv in PANEL] == first
+
+
+def test_parser_not_built_at_import():
+    proc = run_python("import limpack.cli\n"
+                      "print(limpack.cli._build_parser.cache_info().misses)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"

@@ -165,6 +165,15 @@ def test_bb_witness_is_first_optimum_in_branching_order():
             assert res.witness == max(optimal, key=lambda m: [m >> v & 1 for v in order])
 
 
+def test_bb_closes_branch_once_every_free_vertex_fits():
+    # on P_7 at k = 2 the rule fires below the root; the search without it,
+    # which took each free vertex in its own include branch, explored 19 nodes
+    res = limited_packing_bb(construct_family("path", 7), 2)
+    assert res.value == 5
+    assert res.witness_vertices() == [0, 1, 3, 4, 6]
+    assert res.nodes_explored < 19
+
+
 def test_min_problem_witnesses_are_feasible():
     for g in enumerate_labeled_graphs(4):
         r = domination_number(g)
