@@ -7,16 +7,16 @@ profile; entries whose hypothesis fails carry applicable=False and no value.
 The campaign derives its evaluators for the same statements from the same
 rows.  Bounds derived from gamma, L_1, or rho0 read them from an aux object:
 bound_report and the campaign both pass a solvers.GraphFacts, which solves
-each on its first read.
+each on its first read; bound_report's exact L_k and the Nordhaus-Gaddum
+sums read the same cache.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable
 
-from .graphs import Graph, GraphProfile, complement, emit_graph6, profile
+from .graphs import Graph, GraphProfile, emit_graph6, profile, scan_subsets
 from . import solvers
 
 
@@ -262,10 +262,9 @@ def bound_report(g: Graph, k: int, with_exact: bool = False) -> BoundReport:
     whose other hypotheses hold reads them.
     """
     solvers._check_k(k)
-    p = profile(g)
-    aux = solvers.GraphFacts(g)
-    entries = tuple(b.entry(g.n, p, k, aux) for b in BOUNDS if k in b.ks)
-    exact = solvers.limited_packing_number(g, k).value if with_exact else None
+    f = solvers.GraphFacts(g)
+    entries = tuple(b.entry(g.n, f.profile, k, f) for b in BOUNDS if k in b.ks)
+    exact = f.lk(k) if with_exact else None
     return BoundReport(emit_graph6(g), k, g.n, entries, exact)
 
 
@@ -319,8 +318,8 @@ def ng_upper_bound(n: int, k: int, max_degree: int, min_degree: int) -> tuple[st
 
 def nordhaus_gaddum(g: Graph, k: int) -> NGReport:
     """Exact L_k(G) + L_k(complement) with the matching case-split upper bound."""
-    val = solvers.limited_packing_number(g, k).value
-    val_bar = solvers.limited_packing_number(complement(g), k).value
+    f = solvers.GraphFacts(g)
+    val, val_bar = f.lk(k), f.lk_bar(k)
     n = g.n
     degs = g.degrees()
     lower, lower_applicable = ng_lower_bound(n, k)
@@ -340,7 +339,8 @@ def ng_lower_equality_condition(g: Graph, k: int) -> bool:
     one of: (a) some vertex of X is adjacent to the rest of X and some outside
     vertex misses all of X; (b) some outside vertex covers all of X and X has
     an isolated vertex in its induced subgraph; (c) one outside vertex covers
-    all of X and another outside vertex misses all of X.
+    all of X and another outside vertex misses all of X.  The scan over X is
+    bounded by graphs.scan_subsets.
     """
     n = g.n
     if n == k:
@@ -348,7 +348,7 @@ def ng_lower_equality_condition(g: Graph, k: int) -> bool:
     if n < k + 1:
         return False
     adj = g.adj
-    for combo in combinations(range(n), k + 1):
+    for combo in scan_subsets(n, k):
         x_mask = 0
         for v in combo:
             x_mask |= 1 << v
@@ -394,7 +394,7 @@ def regular_half(n: int, p: GraphProfile, k: int, lk: Callable[[int], int]) -> b
 
 def regular_equality_check(g: Graph, k: int) -> RegularEqualityResult:
     n, p = g.n, profile(g)
-    verdict = regular_half(n, p, k, lambda k: solvers.limited_packing_number(g, k).value)
+    verdict = regular_half(n, p, k, solvers.GraphFacts(g).lk)
     regular = n >= 1 and p.min_degree == p.max_degree
     d = p.max_degree if regular else None
     return RegularEqualityResult(regular, d, regular and k <= d, verdict is not None,

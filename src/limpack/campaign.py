@@ -25,7 +25,7 @@ from .extremal import (check_Lk_equals_k, construct_comb, construct_diam2,
                        construct_family, construct_spider,
                        construct_tree_prescribed, is_spider_below_max_degree,
                        recognize_class_G, recognize_class_T)
-from .graphs import Graph, emit_graph6, parse_graph6, profile
+from .graphs import Graph, emit_graph6, parse_graph6
 from .solvers import GraphFacts
 
 
@@ -309,23 +309,20 @@ def _formula_run(family: str, sizes):
 
 def _run_diam2_construction():
     for a in range(2, 6):
-        g = construct_diam2(a)
-        diam = profile(g).diameter
-        l2 = solvers.limited_packing_number(g, 2).value
+        f = GraphFacts(construct_diam2(a))
+        diam, l2 = f.profile.diameter, f.lk(2)
         bad = () if diam == 2 and l2 == a else ((2, f"a={a}: diameter={diam}, L_2={l2}"),)
-        yield g, (1, 1 - len(bad), bad)
+        yield f.g, (1, 1 - len(bad), bad)
 
 
 def _run_prescribed_construction():
     for a in range(2, 5):
         for b in range(a + 1, 2 * a + 1):
-            g = construct_tree_prescribed(a, b)
-            r = solvers.open_packing_number(g).value
-            l1 = solvers.limited_packing_number(g, 1).value
-            l2 = solvers.limited_packing_number(g, 2).value
+            f = GraphFacts(construct_tree_prescribed(a, b))
+            r, l1, l2 = f.rho0, f.lk(1), f.lk(2)
             bad = () if (r, l1, l2) == (a, a, b) else (
                 (None, f"a={a}, b={b}: rho0={r}, L_1={l1}, L_2={l2}"),)
-            yield g, (1, 1 - len(bad), bad)
+            yield f.g, (1, 1 - len(bad), bad)
 
 
 # ---------------------------------------------------------------------------

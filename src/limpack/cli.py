@@ -15,7 +15,7 @@ import time
 from . import bounds as bounds_mod
 from . import solvers
 from .campaign import ALL_THEOREM_IDS, run_campaign
-from .corpus import parse_corpus_spec
+from .corpus import parse_corpus_spec, parse_number
 from .extremal import (build_from_spec, check_Lk_equals_k,
                        is_spider_below_max_degree, recognize_class_G,
                        recognize_class_T, recognize_spider)
@@ -25,10 +25,10 @@ from .graphs import (EDGE_LIST_LIMIT, MAX_VERTICES, Graph, GraphFormatError, bit
 def _load_graph(spec: str) -> Graph:
     """graph6 text, or @path to a file holding graph6 or an 'n m' edge list.
 
-    The file is read only up to EDGE_LIST_LIMIT bytes, the longest valid input;
-    a longer file is an error.
+    A bare "@" names no file, so it is graph6: K_1.  The file is read only up
+    to EDGE_LIST_LIMIT bytes, the longest valid input; a longer file is an error.
     """
-    if spec.startswith("@"):
+    if spec.startswith("@") and spec != "@":
         path = spec[1:]
         with open(path, "rb") as fh:
             data = fh.read(EDGE_LIST_LIMIT + 1)
@@ -53,14 +53,14 @@ K_LIMIT = MAX_VERTICES + 1
 def _parse_k_list(text: str) -> list[int]:
     """'2', '1..3', or '1,2,4', each k in 1..K_LIMIT, checked before a range is built."""
     text = text.strip()
+    where = f"k list {text!r}"
     if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = (parse_number(part, where) for part in text.split("..", 1))
         if lo > hi:
             raise ValueError(f"empty k range {text!r}")
         ks = range(lo, hi + 1)
     else:
-        ks = [int(part) for part in text.split(",")]
+        ks = [parse_number(part, where) for part in text.split(",")]
         lo, hi = min(ks), max(ks)
     if lo < 1:
         raise ValueError("k values must be >= 1")
@@ -233,8 +233,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("auto", "oracle", "bb"), default="auto")
     p.add_argument("--witness", action="store_true",
-                   help="also print an optimal set (the oracle returns the "
-                        "lexicographically least one)")
+                   help="also print an optimal set: branch and bound's first "
+                        "optimum in its search order; --method oracle gives the "
+                        "lexicographically least one")
     p.add_argument("--stats", action="store_true",
                    help="print method, nodes explored and elapsed seconds as "
                         "one JSON line on stderr")

@@ -313,6 +313,15 @@ class Corpus:
                 raise ValueError(f"unknown corpus part {kind!r}")
 
 
+def parse_number(text: str, where: str, kind=int):
+    """int(text), or float(text) for kind=float; a ValueError says where text came from."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "a number" if kind is float else "an integer"
+        raise ValueError(f"{text.strip()!r} is not {what} in {where}") from None
+
+
 def parse_corpus_spec(text: str, default_seed: int | None = None) -> Corpus:
     """Grammar: terms joined by '+'.
 
@@ -322,13 +331,15 @@ def parse_corpus_spec(text: str, default_seed: int | None = None) -> Corpus:
     file(PATH)                                graph6 lines of at most GRAPH6_LINE_LIMIT bytes
 
     default_seed fills in for a random_connected term that omits seed=.  Every
-    bound is checked here, before any graph is built.
+    bound is checked here, before any graph is built; a field given twice, or
+    a number that does not parse, is an error naming its term.
     """
     parts = []
     for term in text.split("+"):
         term = term.strip()
+        where = f"corpus term {term!r}"
         if term.startswith("all_labeled(") and term.endswith(")"):
-            order = int(term[12:-1])
+            order = parse_number(term[12:-1], where)
             if not 1 <= order <= LABELED_LIMIT:
                 raise ValueError(f"all_labeled needs 1 <= N <= {LABELED_LIMIT}: {term!r}")
             parts.append(("all_labeled", order))
@@ -336,7 +347,7 @@ def parse_corpus_spec(text: str, default_seed: int | None = None) -> Corpus:
             inner = term[6:-1].replace("≤", "<=").strip()
             if inner.startswith("<="):
                 inner = inner[2:]
-            order = int(inner)
+            order = parse_number(inner, where)
             if not 2 <= order <= TREE_EXHAUSTIVE_LIMIT:
                 raise ValueError(f"trees needs 2 <= N <= {TREE_EXHAUSTIVE_LIMIT}: {term!r}")
             parts.append(("trees", order))
@@ -344,21 +355,26 @@ def parse_corpus_spec(text: str, default_seed: int | None = None) -> Corpus:
             inner = term[17:-1]
             lo = hi = count = seed = None
             prob = 0.5
+            seen = set()
             for field in inner.split(","):
-                field = field.strip()
-                if field.startswith("n="):
-                    span = field[2:]
-                    if ".." in span:
-                        a, b = span.split("..")
-                        lo, hi = int(a), int(b)
-                    else:
-                        lo = hi = int(span)
-                elif field.startswith("seed="):
-                    seed = int(field[5:])
-                elif field.startswith("p="):
-                    prob = float(field[2:])
+                name, eq, value = field.strip().partition("=")
+                if not eq:
+                    name, value = "COUNT", name
+                if name in seen:
+                    raise ValueError(f"random_connected gives {name} twice: {term!r}")
+                seen.add(name)
+                if name == "n":
+                    lo, dots, hi = value.partition("..")
+                    lo = parse_number(lo, where)
+                    hi = parse_number(hi, where) if dots else lo
+                elif name == "seed":
+                    seed = parse_number(value, where)
+                elif name == "p":
+                    prob = parse_number(value, where, float)
+                elif name == "COUNT":
+                    count = parse_number(value, where)
                 else:
-                    count = int(field)
+                    raise ValueError(f"random_connected has no field {name!r}: {term!r}")
             if seed is None:
                 seed = default_seed
             if lo is None or count is None or seed is None:

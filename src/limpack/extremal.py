@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import MAX_VERTICES, Graph, bits, mask_of, profile
+from .graphs import MAX_VERTICES, Graph, bits, mask_of, profile, scan_subsets
 from .solvers import _check_k
 
 
@@ -21,7 +21,8 @@ def check_Lk_equals_k(g: Graph, k: int) -> bool:
 
     Orders at most k demand n == k exactly; order k+1 demands max degree k;
     larger graphs demand that every (k+1)-subset either has an internal vertex
-    adjacent to the rest of it or an outside vertex adjacent to all of it.
+    adjacent to the rest of it or an outside vertex adjacent to all of it
+    (a scan bounded by graphs.scan_subsets).
     """
     _check_k(k)
     n = g.n
@@ -30,7 +31,7 @@ def check_Lk_equals_k(g: Graph, k: int) -> bool:
     adj = g.adj
     if n == k + 1:
         return max(nb.bit_count() for nb in adj) == k
-    for combo in combinations(range(n), k + 1):
+    for combo in scan_subsets(n, k):
         x_mask = mask_of(combo)
         if any((adj[v] & x_mask).bit_count() == k for v in combo):
             continue

@@ -1,15 +1,14 @@
 """Exact solvers for limited packing, open packing, and domination numbers.
 
-Two exact routes for the k-limited packing number: a subset-enumeration oracle
-(guarded to n <= 24) and branch and bound, which handles any graph the package
-admits.  The companion parameters rho0, gamma and gamma_t go through the same
-branch-and-bound engine, at every order.  All are deterministic: the oracle
-returns the smallest bitmask among maximum solutions, branch and bound the
-first optimum in its search order.  limited_packing_number's default
-("auto") sends n <= 12 to the oracle and larger orders to branch and bound.
-GraphFacts caches these values for one graph, for the bound panel and the
-campaign; it solves L_k by branch and bound at every order, so the oracle
-stays an independent check of what the campaign reads.
+Two exact routes for the k-limited packing number: branch and bound, which
+handles any graph the package admits, and a subset-enumeration oracle (guarded
+to n <= 24), kept as the independent reference.  The companion parameters
+rho0, gamma and gamma_t go through the same branch-and-bound engine, at every
+order.  All are deterministic: the oracle returns the smallest bitmask among
+maximum solutions, branch and bound the first optimum in its search order.
+limited_packing_number's default ("auto") is branch and bound at every order;
+the oracle runs only on request.  GraphFacts caches these values for one
+graph, for the bound panel, the Nordhaus-Gaddum sums and the campaign.
 """
 from __future__ import annotations
 
@@ -214,14 +213,10 @@ def limited_packing_bb(g: Graph, k: int) -> SolveResult:
 
 
 def limited_packing_number(g: Graph, k: int, method: str = "auto") -> SolveResult:
-    """Dispatch to the oracle for small orders, branch and bound otherwise."""
+    """L_k by the oracle on request ("oracle"), else by branch and bound ("bb", "auto")."""
     if method == "oracle":
         return limited_packing_oracle(g, k)
-    if method == "bb":
-        return limited_packing_bb(g, k)
-    if method == "auto":
-        if g.n <= 12:
-            return limited_packing_oracle(g, k)
+    if method in ("auto", "bb"):
         return limited_packing_bb(g, k)
     raise ValueError(f"unknown method {method!r}")
 
@@ -276,16 +271,16 @@ class GraphFacts:
 
     Every value, L_k of the graph and of its complement included, comes from
     branch and bound at every order; only values are read, so which optimum
-    a solver returns does not matter here.  The campaign's evaluators and the
-    bound table read these attributes; run_campaign evaluates one graph per
-    isomorphism class of order <= 6, so evaluators read only invariants.
+    a solver returns does not matter here.  The campaign, the bound table and
+    the Nordhaus-Gaddum sums read these attributes; run_campaign evaluates one
+    graph per isomorphism class of order <= 6, so evaluators read only
+    invariants.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self.n = g.n
         self._lk: dict[int, int] = {}
-        self._lk_bar: dict[int, int] = {}
 
     @cached_property
     def profile(self) -> GraphProfile:
@@ -301,14 +296,13 @@ class GraphFacts:
         return self.lk(1)
 
     @cached_property
-    def _complement(self) -> Graph:
-        return complement(self.g)
+    def _bar(self) -> GraphFacts:
+        """The facts of the complement, built on the first read."""
+        return GraphFacts(complement(self.g))
 
     def lk_bar(self, k: int) -> int:
         """L_k of the complement."""
-        if k not in self._lk_bar:
-            self._lk_bar[k] = limited_packing_bb(self._complement, k).value
-        return self._lk_bar[k]
+        return self._bar.lk(k)
 
     @cached_property
     def gamma(self) -> int:

@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from limpack import (Graph, bound_report, closed_form, construct_family,
-                     limited_packing_oracle, ng_lower_equality_condition,
+from limpack import (Graph, bound_report, check_Lk_equals_k, closed_form,
+                     construct_family, limited_packing_oracle, ng_lower_equality_condition,
                      nordhaus_gaddum, open_packing_number, profile,
                      regular_equality_check, small_order_value)
 from limpack.corpus import enumerate_labeled_graphs
@@ -243,6 +243,31 @@ def test_ng_equality_condition_matches_sums():
                 assert rep.total >= 2 * k
                 cond = ng_lower_equality_condition(g, k)
                 assert (rep.total == 2 * k) == cond, (g.edges(), k)
+
+
+def paley13() -> Graph:
+    # self-complementary with diameter 2, so L_1(G) + L_1(complement) == 2
+    squares = {x * x % 13 for x in range(1, 13)}
+    return Graph.from_edges(13, [(i, j) for i in range(13) for j in range(i + 1, 13)
+                                 if (j - i) % 13 in squares])
+
+
+def test_subset_scans_share_one_budget(monkeypatch):
+    from limpack import graphs
+    k14, path14 = construct_family("complete", 14), construct_family("path", 14)
+    paley, path13 = paley13(), construct_family("path", 13)
+    assert check_Lk_equals_k(k14, 6) and ng_lower_equality_condition(paley, 1)
+    monkeypatch.setattr(graphs, "SUBSET_SCAN_LIMIT", 3432)   # C(14, 7): just enough
+    assert check_Lk_equals_k(k14, 6)
+    monkeypatch.setattr(graphs, "SUBSET_SCAN_LIMIT", 3431)
+    with pytest.raises(ValueError, match=r"C\(14, 7\) = 3432.*n = 14, k = 6"):
+        check_Lk_equals_k(k14, 6)
+    monkeypatch.setattr(graphs, "SUBSET_SCAN_LIMIT", 20)
+    with pytest.raises(ValueError, match=r"C\(13, 2\) = 78.*n = 13, k = 1"):
+        ng_lower_equality_condition(paley, 1)
+    # a scan that fails early answers as before, whatever the budget
+    assert not check_Lk_equals_k(path14, 6)
+    assert not ng_lower_equality_condition(path13, 1)
 
 
 def test_ng_upper_sound_exhaustive():

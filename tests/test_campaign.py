@@ -318,3 +318,26 @@ def test_per_graph_path_makes_no_oracle_call(monkeypatch):
     corpus = parse_corpus_spec("all_labeled(5)+random_connected(n=8..12,10,seed=1)")
     report = run_campaign(ids, corpus, (1, 2, 3))
     assert not report.failed and report.classes_evaluated == 52 + 10
+
+
+def test_per_graph_callers_never_reach_the_oracle(monkeypatch):
+    # bound_report, nordhaus_gaddum, regular_equality_check and the construction
+    # sweeps read GraphFacts, which solves by branch and bound at every order
+    from limpack import solvers
+    from limpack.corpus import random_connected
+
+    def refuse(*args):
+        raise AssertionError("the oracle was called")
+
+    monkeypatch.setattr(solvers, "limited_packing_oracle", refuse)
+    graphs = [g for n in range(2, 13) for g in random_connected(n, 3, 900 + n, 0.4)]
+    graphs += [Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]) for n in (5, 12)]
+    for g in graphs:
+        for k in (1, 2, 3):
+            assert bounds_mod.bound_report(g, k, with_exact=True).exact is not None
+            rep = bounds_mod.nordhaus_gaddum(g, k)
+            assert rep.total == rep.value + rep.value_complement
+            assert bounds_mod.regular_equality_check(g, k).passed
+    report = run_campaign(["th-diam2-construction", "th-prescribed-construction"],
+                          parse_corpus_spec("trees(3)"), (1, 2))
+    assert [(v.status, v.graphs_checked) for v in report.verdicts] == [("pass", 4), ("pass", 9)]

@@ -54,8 +54,8 @@ def test_solve_stats_on_stderr_only(capsys):
         assert len(lines) == 1
         stats = json.loads(lines[0])
         assert list(stats) == ["method", "nodes_explored", "elapsed_s"]
-        assert stats["method"] == ("branch-and-bound" if method == "bb" else "oracle")
-        if method != "bb":
+        assert stats["method"] == ("oracle" if method == "oracle" else "branch-and-bound")
+        if method == "oracle":
             assert stats["nodes_explored"] == 2 ** 5
         assert stats["nodes_explored"] > 0 and stats["elapsed_s"] >= 0
 
@@ -75,7 +75,7 @@ def test_params_stats_on_stderr_only(capsys):
                 assert name == "gamma_t" and json.loads(out)["gamma_t"] is None
                 continue
             assert list(entry) == ["method", "nodes_explored", "elapsed_s"]
-            assert entry["method"] == ("oracle" if name[0] == "L" else "branch-and-bound")
+            assert entry["method"] == "branch-and-bound"
             assert entry["nodes_explored"] >= 0 and entry["elapsed_s"] >= 0
 
 
@@ -317,6 +317,48 @@ def test_error_exits(capsys):
 def test_missing_file(capsys):
     rc, _, err = run(capsys, "solve", "--graph", "@/no/such/file", "--k", "1")
     assert rc == 2 and "error:" in err
+
+
+def test_bare_at_sign_is_k1(capsys):
+    # "@" is the graph6 of K_1, not an empty @path
+    assert emit_graph6(build_from_spec("complete:1")) == "@"
+    rc, out, err = run(capsys, "solve", "--graph", "@", "--k", "1")
+    assert (rc, out, err) == (0, "1\n", "")
+    rc, out, err = run(capsys, "params", "--graph", "@")
+    data = json.loads(out)
+    assert rc == 0 and err == ""
+    assert (data["graph6"], data["n"], data["L1"], data["gamma"], data["gamma_t"]) == \
+        ("@", 1, 1, 1, None)
+
+
+@pytest.mark.parametrize("spec", [
+    "random_connected(n=8..9,10,seed=1,n=3)",       # at the parent: only order 3
+    "random_connected(n=8..9,10,20,seed=1)",        # at the parent: count 20
+    "trees(3)+all_labeled(x)",
+    "trees(<=q)",
+    "random_connected(n=8..x,10,seed=1)",
+    "random_connected(n=8..9,10,seed=1,p=zz)",
+])
+def test_malformed_corpus_term_named(capsys, spec):
+    rc, out, err = run(capsys, "verify", "--theorems", "lem-kgamma", "--corpus", spec,
+                       "--k", "1")
+    term = spec.split("+")[-1]
+    assert rc == 2 and out == "" and "error: " in err and repr(term) in err
+
+
+def test_malformed_k_list_named(capsys):
+    rc, out, err = run(capsys, "verify", "--theorems", "lem-kgamma",
+                       "--corpus", "trees(3)", "--k", "1,,2")
+    assert rc == 2 and out == "" and "'1,,2'" in err and "integer" in err
+
+
+def test_subset_scan_budget_exits_2(capsys, monkeypatch):
+    from limpack import graphs
+    monkeypatch.setattr(graphs, "SUBSET_SCAN_LIMIT", 1000)
+    k14 = build_from_spec("complete:14")
+    rc, out, err = run(capsys, "recognize", "--graph", emit_graph6(k14),
+                       "--family", "lk-eq-k", "--k", "6")
+    assert rc == 2 and out == "" and "C(14, 7) = 3432" in err and "k = 6" in err
 
 
 def test_verify_seed_fills_random_term(capsys):

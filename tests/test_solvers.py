@@ -195,12 +195,26 @@ def test_solve_result_fields():
 
 
 def test_dispatch_policy():
+    # auto is branch and bound at every order; the oracle runs only on request
     small = construct_family("path", 12)
     large = construct_family("path", 13)
-    assert limited_packing_number(small, 1).method == "oracle"
+    assert limited_packing_number(small, 1).method == "branch-and-bound"
     assert limited_packing_number(large, 1).method == "branch-and-bound"
     assert limited_packing_number(small, 1, method="bb").method == "branch-and-bound"
+    for g in (small, large):
+        res = limited_packing_number(g, 1, method="oracle")
+        assert res.method == "oracle" and res.nodes_explored == 2 ** g.n
     assert limited_packing_number(large, 1, method="oracle").value == 5
+    with pytest.raises(ValueError):
+        limited_packing_number(small, 1, method="milp")
+
+
+def test_auto_returns_branch_and_bound_result():
+    graphs = [g for n in range(1, 6) for g in enumerate_labeled_graphs(n)]
+    graphs += [g for n in range(6, 13) for g in random_connected(n, 6, 1200 + n, 0.4)]
+    for g in graphs:
+        for k in (1, 2, 3):
+            assert limited_packing_number(g, k) == limited_packing_bb(g, k), (g, k)
 
 
 def test_graph_facts_lk_matches_oracle_on_class_representatives():
