@@ -340,7 +340,9 @@ def ng_lower_equality_condition(g: Graph, k: int) -> bool:
     vertex misses all of X; (b) some outside vertex covers all of X and X has
     an isolated vertex in its induced subgraph; (c) one outside vertex covers
     all of X and another outside vertex misses all of X.  The scan over X is
-    bounded by graphs.scan_subsets.
+    bounded by graphs.scan_subsets.  With no loops, an outside vertex covers
+    X iff the AND of X's rows is nonempty, and one misses X iff X and the OR
+    of its rows leave a vertex out.
     """
     n = g.n
     if n == k:
@@ -348,22 +350,21 @@ def ng_lower_equality_condition(g: Graph, k: int) -> bool:
     if n < k + 1:
         return False
     adj = g.adj
+    full = g.full_mask
     for combo in scan_subsets(n, k):
-        x_mask = 0
+        x_mask = seen = 0
+        common = full
         for v in combo:
             x_mask |= 1 << v
-        max_deg_k = any((adj[v] & x_mask).bit_count() == k for v in combo)
-        isolated = any(adj[v] & x_mask == 0 for v in combo)
-        cover = miss = False
-        for u in range(n):
-            if x_mask >> u & 1:
+            seen |= adj[v]
+            common &= adj[v]
+        miss = seen | x_mask != full
+        if common:
+            if miss or any(adj[v] & x_mask == 0 for v in combo):
                 continue
-            if adj[u] & x_mask == x_mask:
-                cover = True
-            if adj[u] & x_mask == 0:
-                miss = True
-        if not ((max_deg_k and miss) or (cover and isolated) or (cover and miss)):
-            return False
+        elif miss and any((adj[v] & x_mask).bit_count() == k for v in combo):
+            continue
+        return False
     return True
 
 

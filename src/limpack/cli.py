@@ -20,7 +20,7 @@ from .extremal import (build_from_spec, check_Lk_equals_k,
                        is_spider_below_max_degree, recognize_class_G,
                        recognize_class_T, recognize_spider)
 from .graphs import (EDGE_LIST_LIMIT, MAX_VERTICES, Graph, GraphFormatError, bits,
-                     emit_graph6, parse_edge_list, parse_graph6, profile)
+                     emit_graph6, is_tree, parse_edge_list, parse_graph6, profile)
 
 def _load_graph(spec: str) -> Graph:
     """graph6 text, or @path to a file holding graph6 or an 'n m' edge list.
@@ -157,14 +157,14 @@ def cmd_recognize(args) -> int:
         if w is not None:
             witness = {"A0": list(bits(w.a0)), "B0": list(bits(w.b0))}
     elif family == "spider":
-        if profile(g).is_tree:
+        if is_tree(g):
             shape = recognize_spider(g)
             member = shape is not None
             if shape is not None:
                 witness = {"center": shape.center, "t": shape.t, "s": shape.s,
                            "below_max_degree": is_spider_below_max_degree(g)}
     elif family == "classT":
-        if profile(g).is_tree and g.n >= 2:
+        if is_tree(g) and g.n >= 2:
             w = recognize_class_T(g)
             member = w is not None
             if w is not None:

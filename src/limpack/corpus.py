@@ -228,8 +228,10 @@ def enumerate_tree_classes(n: int) -> list[Graph]:
         nxt: dict[tuple[int, ...], Graph] = {}
         for g in reps.values():
             for v in range(g.n):
-                grown = Graph(size, tuple(nb | ((1 << (size - 1)) if u == v else 0)
-                                          for u, nb in enumerate(g.adj)) + (1 << v,))
+                adj = list(g.adj)
+                adj[v] |= 1 << (size - 1)
+                adj.append(1 << v)
+                grown = Graph._trusted(size, adj)
                 key = graph_canonical_tree_key(grown)
                 if key not in nxt:
                     nxt[key] = grown

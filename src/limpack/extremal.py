@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import MAX_VERTICES, Graph, bits, mask_of, profile, scan_subsets
+from .graphs import MAX_VERTICES, Graph, bits, is_tree, mask_of, scan_subsets
 from .solvers import _check_k
 
 
@@ -22,7 +22,8 @@ def check_Lk_equals_k(g: Graph, k: int) -> bool:
     Orders at most k demand n == k exactly; order k+1 demands max degree k;
     larger graphs demand that every (k+1)-subset either has an internal vertex
     adjacent to the rest of it or an outside vertex adjacent to all of it
-    (a scan bounded by graphs.scan_subsets).
+    (a scan bounded by graphs.scan_subsets).  With no loops, the vertices
+    adjacent to all of X are the AND of its rows, and all lie outside X.
     """
     _check_k(k)
     n = g.n
@@ -31,11 +32,14 @@ def check_Lk_equals_k(g: Graph, k: int) -> bool:
     adj = g.adj
     if n == k + 1:
         return max(nb.bit_count() for nb in adj) == k
+    full = g.full_mask
     for combo in scan_subsets(n, k):
-        x_mask = mask_of(combo)
-        if any((adj[v] & x_mask).bit_count() == k for v in combo):
-            continue
-        if any(adj[u] & x_mask == x_mask for u in range(n) if not x_mask >> u & 1):
+        x_mask = 0
+        common = full
+        for v in combo:
+            x_mask |= 1 << v
+            common &= adj[v]
+        if common or any((adj[v] & x_mask).bit_count() == k for v in combo):
             continue
         return False
     return True
@@ -134,7 +138,7 @@ def spider_shapes(g: Graph) -> list[SpiderShape]:
 
 def recognize_spider(g: Graph) -> SpiderShape | None:
     """Canonical spider shape of a tree (smallest t, then smallest centre)."""
-    if not profile(g).is_tree:
+    if not is_tree(g):
         raise ValueError("spider recognition expects a tree")
     shapes = spider_shapes(g)
     return shapes[0] if shapes else None
@@ -188,7 +192,7 @@ def recognize_class_T(g: Graph) -> ClassTWitness | None:
     one support are twins, so S0 is taken as the support vertices plus the
     least leaf of each, which is also the least valid mask.
     """
-    if not profile(g).is_tree or g.n < 2:
+    if not is_tree(g) or g.n < 2:
         raise ValueError("class-T recognition expects a tree with >= 2 vertices")
     adj = g.adj
     s0 = 0

@@ -10,6 +10,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
+from operator import or_
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
@@ -42,8 +43,9 @@ def bits(mask: int) -> Iterator[int]:
 
 
 # the most (k+1)-subsets a structural test walks before it gives up: about
-# 12 s of scanning on a 2-core Intel Xeon, far above the C(16, 8) = 12,870 of
-# the largest random_connected graph, far below the C(40, 20) of K_40 at k = 19
+# 11 s of scanning on a 2-core Intel Xeon, each subset an AND over its k+1
+# rows; far above the C(16, 8) = 12,870 of the largest random_connected
+# graph, far below the C(40, 20) of K_40 at k = 19
 SUBSET_SCAN_LIMIT = 1 << 22
 
 
@@ -58,12 +60,20 @@ def scan_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
                          f"{comb(n, k + 1)} vertex subsets of size k+1 (n = {n}, k = {k})")
 
 
+_BIT = tuple(1 << v for v in range(MAX_VERTICES))
 # the edge (i, j) of every edge-mask position, in graph6 order: (0,1), (0,2), (1,2), (0,3), ...
 _EDGE_PAIRS = tuple((i, j) for j in range(1, MAX_VERTICES) for i in range(j))
 
 
 class Graph:
-    """Immutable simple graph on at most 64 vertices."""
+    """Immutable simple graph on at most 64 vertices.
+
+    Graph(n, adj) checks its rows: order in 0..64, one row per vertex,
+    neighbours inside 0..n-1, no loops, symmetry.  The builders from_edge_mask,
+    from_edges, complement, induced_subgraph, disjoint_union and
+    corpus.enumerate_tree_classes check their own inputs and make rows that
+    pass by construction, so they skip that check through Graph._trusted.
+    """
 
     __slots__ = ("n", "adj", "closed")
 
@@ -85,7 +95,17 @@ class Graph:
         self.n = n
         self.adj = adj
         # closed neighbourhoods N[v]; the solvers' hot loops index these
-        self.closed = tuple(nb | (1 << v) for v, nb in enumerate(adj))
+        self.closed = tuple(map(or_, adj, _BIT))
+
+    @classmethod
+    def _trusted(cls, n: int, adj: Iterable[int]) -> "Graph":
+        """Graph(n, adj) without the row checks, for n rows that are symmetric,
+        loop-free and inside 0..n-1 by construction (0 <= n <= 64)."""
+        g = object.__new__(cls)
+        g.n = n
+        g.adj = adj = tuple(adj)
+        g.closed = tuple(map(or_, adj, _BIT))
+        return g
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -101,7 +121,9 @@ class Graph:
                 raise ValueError(f"edge {u}-{v} outside 0..{n - 1}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, adj)
+        if not 0 <= n <= MAX_VERTICES:
+            raise ValueError(f"order {n} outside 0..{MAX_VERTICES}")
+        return cls._trusted(n, adj)
 
     @classmethod
     def from_edge_mask(cls, n: int, mask: int) -> "Graph":
@@ -118,7 +140,7 @@ class Graph:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
             mask ^= low
-        return cls(n, adj)
+        return cls._trusted(n, adj)
 
     def edge_mask(self) -> int:
         """The graph6 edge mask: the edge (i, j), i < j, is bit j(j-1)/2 + i."""
@@ -163,7 +185,7 @@ class Graph:
 
 def complement(g: Graph) -> Graph:
     full = g.full_mask
-    return Graph(g.n, (full & ~nb & ~(1 << v) for v, nb in enumerate(g.adj)))
+    return Graph._trusted(g.n, [full & ~cn for cn in g.closed])
 
 
 def induced_subgraph(g: Graph, mask: int) -> Graph:
@@ -174,7 +196,7 @@ def induced_subgraph(g: Graph, mask: int) -> Graph:
     for v in keep:
         for u in bits(g.adj[v] & mask):
             adj[index[v]] |= 1 << index[u]
-    return Graph(len(keep), adj)
+    return Graph._trusted(len(keep), adj)
 
 
 def disjoint_union(*graphs: Graph) -> Graph:
@@ -186,7 +208,7 @@ def disjoint_union(*graphs: Graph) -> Graph:
     for g in graphs:
         adj.extend(nb << shift for nb in g.adj)
         shift += g.n
-    return Graph(total, adj)
+    return Graph._trusted(total, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +392,12 @@ def _component_count(g: Graph, allowed: int) -> int:
     return count
 
 
+def is_tree(g: Graph) -> bool:
+    """Connected with n - 1 edges (so not the null graph), in O(n) word
+    operations; profile(g).is_tree reads it."""
+    return g.edge_count() == g.n - 1 and _component_count(g, g.full_mask) == 1
+
+
 def _girth(g: Graph) -> int | None:
     """Shortest cycle length, via BFS from every vertex with parent tracking."""
     best: int | None = None
@@ -424,7 +452,6 @@ def profile(g: Graph) -> GraphProfile:
                 diameter = d
 
     m = g.edge_count()
-    is_tree = connected and m == n - 1
     # a graph with c components is acyclic iff m == n - c
     girth = None if m == n - comp else _girth(g)
 
@@ -443,5 +470,5 @@ def profile(g: Graph) -> GraphProfile:
         if not triangle:
             break
 
-    return GraphProfile(connected, is_tree, max_deg, min_deg, min_nonleaf,
+    return GraphProfile(connected, is_tree(g), max_deg, min_deg, min_nonleaf,
                         diameter, girth, cut, triangle)

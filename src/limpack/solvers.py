@@ -85,20 +85,7 @@ def _search(rows: list[int], cap: int, sense: str) -> SolveResult:
     """Branch and bound over vertex sets S, given symmetric rows (v in rows[u] iff u in rows[v]).
 
     sense "max" (packing): the largest S meeting every row in at most cap
-    vertices.  Branches on vertices by descending row size (ties by index),
-    include before exclude.  Residual capacities track cap minus the hits on
-    each row; once one is exhausted, every vertex of that row is blocked.
-    The free vertices are the undecided, unblocked ones, and a branch dies
-    when the set so far plus a bound on how many free vertices can join
-    cannot beat the incumbent.  Two bounds are tried in turn: the count of
-    free vertices, then the residual cover bound (with closed rows, the
-    local form of L_k <= k * gamma).  It splits the free vertices into parts
-    inside rows, each holding at most min(|part|, capacity of the row): in
-    branching order, every row with more free vertices than capacity takes
-    them as a part, and each free vertex left over is a part of its own.
-    When no row takes a part, every free vertex fits at once: the branch
-    closes with all of them chosen, the leaf its include-first descent would
-    reach, since a row's capacity runs out only as its last free vertex joins.
+    vertices, by a _Packing over the rows (see there), prepared and solved once.
 
     sense "min" (cover; cap is 1): the smallest S meeting every row.  Each
     node branches on the uncovered vertex with the fewest candidates (row
@@ -114,7 +101,6 @@ def _search(rows: list[int], cap: int, sense: str) -> SolveResult:
     it, so the bounds change only nodes_explored.
     """
     n = len(rows)
-    sizes = [row.bit_count() for row in rows]
     nodes = 0
     if sense == "min":
         best = n + 1
@@ -145,59 +131,97 @@ def _search(rows: list[int], cap: int, sense: str) -> SolveResult:
         cover(0, 0, (1 << n) - 1, 0)
         return SolveResult(best, best_mask, nodes, "branch-and-bound")
 
-    if all(size <= cap for size in sizes):
-        # no row can exceed its cap, even with every vertex chosen
-        return SolveResult(n, (1 << n) - 1, 0, "branch-and-bound")
-    order = sorted(range(n), key=lambda v: (-sizes[v], v))
-    # only a row with more than cap vertices can hold more free vertices than
-    # its capacity: each chosen vertex that spent some of it is not free
-    hubs = [(w, rows[w]) for w in order if sizes[w] > cap]
-    rest = [0] * (n + 1)  # rest[pos]: mask of order[pos:]
-    for pos in range(n - 1, -1, -1):
-        rest[pos] = rest[pos + 1] | (1 << order[pos])
-    # lists, not tuples: freed tuples of these sizes collect in CPython's tuple
-    # free lists, which added about 1 MB to peak RSS over many searches
-    members = [list(bits(row)) for row in rows]
-    best = 0
-    best_mask = 0
-    caps = [cap] * n
-    blocked = 0  # vertices in some exhausted row
+    return _Packing(rows).solve(cap)
 
-    def walk(pos: int, chosen: int, chosen_mask: int) -> None:
-        nonlocal best, best_mask, nodes, blocked
-        nodes += 1
-        if chosen > best:
-            best = chosen
-            best_mask = chosen_mask
-        free = rest[pos] & ~blocked
-        if chosen + free.bit_count() <= best:
-            return
-        bound = chosen
-        for w, rw in hubs:
-            if (rw & free).bit_count() > caps[w]:
-                bound += caps[w]
-                free &= ~rw
-        if bound + free.bit_count() <= best:
-            return
-        if bound == chosen:  # no row took a part: every free vertex fits
-            best = chosen + free.bit_count()
-            best_mask = chosen_mask | free
-            return
-        v = order[pos]
-        if not (blocked >> v) & 1:
-            saved = blocked
-            for u in members[v]:
-                caps[u] -= 1
-                if caps[u] == 0:
-                    blocked |= rows[u]
-            walk(pos + 1, chosen + 1, chosen_mask | (1 << v))
-            blocked = saved
-            for u in members[v]:
-                caps[u] += 1
-        walk(pos + 1, chosen, chosen_mask)
 
-    walk(0, 0, 0)
-    return SolveResult(best, best_mask, nodes, "branch-and-bound")
+class _Packing:
+    """_search's packing sense over one row family: the set-up once, then
+    solve(cap) for any number of caps.  GraphFacts keeps one per graph.
+
+    solve(cap) finds the largest S meeting every row in at most cap
+    vertices.  It branches on vertices by descending row size (ties by
+    index), include before exclude.  Residual capacities track cap minus the
+    hits on each row; once one is exhausted, every vertex of that row is
+    blocked.  The free vertices are the undecided, unblocked ones, and a
+    branch dies when the set so far plus a bound on how many free vertices
+    can join cannot beat the incumbent.  Two bounds are tried in turn: the
+    count of free vertices, then the residual cover bound (with closed rows,
+    the local form of L_k <= k * gamma).  It splits the free vertices into
+    parts inside rows, each holding at most min(|part|, capacity of the
+    row): in branching order, every row with more free vertices than
+    capacity takes them as a part, and each free vertex left over is a part
+    of its own.  When no row takes a part, every free vertex fits at once:
+    the branch closes with all of them chosen, the leaf its include-first
+    descent would reach, since a row's capacity runs out only as its last
+    free vertex joins.
+    """
+
+    __slots__ = ("rows", "sizes", "order", "rest", "members")
+
+    def __init__(self, rows: list[int]):
+        n = len(rows)
+        self.rows = rows
+        self.sizes = sizes = [row.bit_count() for row in rows]
+        self.order = order = sorted(range(n), key=lambda v: (-sizes[v], v))
+        self.rest = rest = [0] * (n + 1)  # rest[pos]: mask of order[pos:]
+        for pos in range(n - 1, -1, -1):
+            rest[pos] = rest[pos + 1] | (1 << order[pos])
+        # lists, not tuples: freed tuples of these sizes collect in CPython's
+        # tuple free lists, which added about 1 MB to peak RSS over many searches
+        self.members = [list(bits(row)) for row in rows]
+
+    def solve(self, cap: int) -> SolveResult:
+        rows, sizes, order, rest, members = self.rows, self.sizes, self.order, self.rest, self.members
+        n = len(rows)
+        if not order or sizes[order[0]] <= cap:
+            # no row can exceed its cap, even with every vertex chosen
+            return SolveResult(n, (1 << n) - 1, 0, "branch-and-bound")
+        # only a row with more than cap vertices can hold more free vertices than
+        # its capacity: each chosen vertex that spent some of it is not free
+        hubs = [(w, rows[w]) for w in order if sizes[w] > cap]
+        nodes = 0
+        best = 0
+        best_mask = 0
+        caps = [cap] * n
+        blocked = 0  # vertices in some exhausted row
+
+        def walk(pos: int, chosen: int, chosen_mask: int) -> None:
+            nonlocal best, best_mask, nodes, blocked
+            nodes += 1
+            if chosen > best:
+                best = chosen
+                best_mask = chosen_mask
+            free = rest[pos] & ~blocked
+            if chosen + free.bit_count() <= best:
+                return
+            bound = chosen
+            for w, rw in hubs:
+                if (rw & free).bit_count() > caps[w]:
+                    bound += caps[w]
+                    free &= ~rw
+                    if not free:  # no later row can take a part
+                        break
+            if bound + free.bit_count() <= best:
+                return
+            if bound == chosen:  # no row took a part: every free vertex fits
+                best = chosen + free.bit_count()
+                best_mask = chosen_mask | free
+                return
+            v = order[pos]
+            if not (blocked >> v) & 1:
+                saved = blocked
+                for u in members[v]:
+                    caps[u] -= 1
+                    if caps[u] == 0:
+                        blocked |= rows[u]
+                walk(pos + 1, chosen + 1, chosen_mask | (1 << v))
+                blocked = saved
+                for u in members[v]:
+                    caps[u] += 1
+            walk(pos + 1, chosen, chosen_mask)
+
+        walk(0, 0, 0)
+        return SolveResult(best, best_mask, nodes, "branch-and-bound")
 
 
 def limited_packing_bb(g: Graph, k: int) -> SolveResult:
@@ -271,8 +295,11 @@ class GraphFacts:
 
     Every value, L_k of the graph and of its complement included, comes from
     branch and bound at every order; only values are read, so which optimum
-    a solver returns does not matter here.  The campaign, the bound table and
-    the Nordhaus-Gaddum sums read these attributes; run_campaign evaluates one
+    a solver returns does not matter here.  One packing search over the
+    closed neighbourhoods is prepared on the first lk read and answers every
+    k, and the complement's GraphFacts keeps its own for lk_bar; both live as
+    long as this object.  The campaign, the bound table and the
+    Nordhaus-Gaddum sums read these attributes; run_campaign evaluates one
     graph per isomorphism class of order <= 6, so evaluators read only
     invariants.
     """
@@ -286,9 +313,15 @@ class GraphFacts:
     def profile(self) -> GraphProfile:
         return profile(self.g)
 
+    @cached_property
+    def _packing(self) -> _Packing:
+        """The packing search over the closed neighbourhoods, for every k."""
+        return _Packing(self.g.closed)
+
     def lk(self, k: int) -> int:
         if k not in self._lk:
-            self._lk[k] = limited_packing_bb(self.g, k).value
+            _check_k(k)
+            self._lk[k] = self._packing.solve(k).value
         return self._lk[k]
 
     @property

@@ -1,5 +1,6 @@
 """Closed formulas, bound reports, and Nordhaus-Gaddum analysis."""
 import json
+from itertools import combinations
 
 import pytest
 
@@ -7,7 +8,8 @@ from limpack import (Graph, bound_report, check_Lk_equals_k, closed_form,
                      construct_family, limited_packing_oracle, ng_lower_equality_condition,
                      nordhaus_gaddum, open_packing_number, profile,
                      regular_equality_check, small_order_value)
-from limpack.corpus import enumerate_labeled_graphs
+from limpack.corpus import enumerate_labeled_graphs, random_connected
+from limpack.graphs import mask_of
 
 
 def petersen() -> Graph:
@@ -268,6 +270,64 @@ def test_subset_scans_share_one_budget(monkeypatch):
     # a scan that fails early answers as before, whatever the budget
     assert not check_Lk_equals_k(path14, 6)
     assert not ng_lower_equality_condition(path13, 1)
+
+
+# the subset scans as direct loops over the vertices outside each subset X,
+# kept as references for the AND/OR-of-rows tests in src/
+
+def lk_eq_k_by_outside_loop(g: Graph, k: int) -> bool:
+    n, adj = g.n, g.adj
+    if n <= k:
+        return n == k
+    if n == k + 1:
+        return max(nb.bit_count() for nb in adj) == k
+    for combo in combinations(range(n), k + 1):
+        x_mask = mask_of(combo)
+        if any((adj[v] & x_mask).bit_count() == k for v in combo):
+            continue
+        if any(adj[u] & x_mask == x_mask for u in range(n) if not x_mask >> u & 1):
+            continue
+        return False
+    return True
+
+
+def ng_condition_by_outside_loop(g: Graph, k: int) -> bool:
+    n, adj = g.n, g.adj
+    if n == k:
+        return True
+    if n < k + 1:
+        return False
+    for combo in combinations(range(n), k + 1):
+        x_mask = mask_of(combo)
+        max_deg_k = any((adj[v] & x_mask).bit_count() == k for v in combo)
+        isolated = any(adj[v] & x_mask == 0 for v in combo)
+        cover = miss = False
+        for u in range(n):
+            if x_mask >> u & 1:
+                continue
+            if adj[u] & x_mask == x_mask:
+                cover = True
+            if adj[u] & x_mask == 0:
+                miss = True
+        if not ((max_deg_k and miss) or (cover and isolated) or (cover and miss)):
+            return False
+    return True
+
+
+def test_subset_scans_match_outside_vertex_loops():
+    graphs = [g for n in range(1, 7) for g in enumerate_labeled_graphs(n)]
+    graphs += [g for n in range(8, 13) for g in random_connected(n, 40, seed=700 + n)]
+    verdicts = set()
+    for g in graphs:
+        for k in (1, 2, 3, 4):
+            lk_eq_k = check_Lk_equals_k(g, k)
+            assert lk_eq_k == lk_eq_k_by_outside_loop(g, k), (g.edges(), k)
+            ng_eq = ng_lower_equality_condition(g, k)
+            assert ng_eq == ng_condition_by_outside_loop(g, k), (g.edges(), k)
+            verdicts.add((k, "lk-eq-k", lk_eq_k))
+            verdicts.add((k, "ng-eq", ng_eq))
+    # each scan answers both ways at every k
+    assert len(verdicts) == 4 * 2 * 2
 
 
 def test_ng_upper_sound_exhaustive():

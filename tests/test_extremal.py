@@ -13,7 +13,7 @@ from limpack import (Graph, bits, build_from_spec, check_Lk_equals_k,
                      recognize_class_T, recognize_spider, spider_shapes)
 from limpack.corpus import (enumerate_labeled_graphs, enumerate_labeled_trees,
                             enumerate_tree_classes, prufer_decode, random_connected)
-from limpack.extremal import _class_g_witness_ok, _class_t_witness_ok
+from limpack.extremal import SpiderShape, _class_g_witness_ok, _class_t_witness_ok
 from limpack.graphs import mask_of
 
 
@@ -290,6 +290,20 @@ def test_build_from_spec():
         build_from_spec("path:x")
     with pytest.raises(ValueError):
         build_from_spec("moebius:5")
+
+
+def test_tree_recognizers_reject_non_trees():
+    cycle4 = construct_family("cycle", 4)
+    forest = Graph.from_edges(4, [(0, 1), (2, 3)])
+    triangle_and_edge = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 4)])  # m = n - 1
+    for g in (Graph.empty(0), cycle4, forest, triangle_and_edge):
+        with pytest.raises(ValueError, match="^spider recognition expects a tree$"):
+            recognize_spider(g)
+    for g in (Graph.empty(0), Graph.empty(1), cycle4, forest, triangle_and_edge):
+        with pytest.raises(ValueError,
+                           match="^class-T recognition expects a tree with >= 2 vertices$"):
+            recognize_class_T(g)
+    assert recognize_spider(Graph.empty(1)) == SpiderShape(0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

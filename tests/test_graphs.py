@@ -8,7 +8,8 @@ from limpack import (MAX_VERTICES, Graph, GraphFormatError, bits, complement,
                      disjoint_union, emit_graph6, format_edge_list,
                      induced_subgraph, mask_of, parse_edge_list, parse_graph6,
                      profile)
-from limpack.corpus import enumerate_labeled_graphs
+from limpack.corpus import enumerate_labeled_graphs, enumerate_tree_classes, prufer_decode
+from limpack.graphs import is_tree
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -94,6 +95,48 @@ def test_disjoint_union():
     assert u.edges() == [(0, 1), (2, 3), (3, 4)]
     with pytest.raises(ValueError):
         disjoint_union(Graph.empty(40), Graph.empty(40))
+
+
+# ---------------------------------------------------------------------------
+# builders that skip the row check: each must give what Graph(n, adj) gives
+
+def assert_checked_equal(g: Graph) -> None:
+    checked = Graph(g.n, g.adj)   # raises unless the rows pass every check
+    assert (g.n, g.adj, g.closed) == (checked.n, checked.adj, checked.closed)
+    assert type(g.adj) is type(g.closed) is tuple
+
+
+def test_trusted_builders_match_checked_constructor():
+    rng = random.Random(11)
+    for n in range(0, 7):
+        for mask in range(1 << n * (n - 1) // 2):
+            g = Graph.from_edge_mask(n, mask)
+            assert_checked_equal(g)
+            cg = complement(g)
+            assert_checked_equal(cg)
+            assert cg.adj == tuple(g.full_mask & ~nb & ~(1 << v) for v, nb in enumerate(g.adj))
+            assert Graph.from_edges(n, g.edges()) == g
+            assert_checked_equal(Graph.from_edges(n, g.edges()))
+            keep = rng.getrandbits(n) if n else 0
+            assert_checked_equal(induced_subgraph(g, keep))
+            if mask % 97 == 0:
+                assert_checked_equal(disjoint_union(g, cg, Graph.empty(2)))
+    for n in range(1, 11):
+        for t in enumerate_tree_classes(n):
+            assert_checked_equal(t)
+    big = random_graph(64, 0.5, rng)
+    for g in (big, complement(big), induced_subgraph(big, rng.getrandbits(64)),
+              disjoint_union(random_graph(30, 0.3, rng), random_graph(34, 0.3, rng))):
+        assert_checked_equal(g)
+
+
+def test_from_edges_checks_order_after_edges():
+    with pytest.raises(ValueError, match="order 65 outside 0..64"):
+        Graph.from_edges(65, [(0, 64)])
+    with pytest.raises(ValueError, match="order -1 outside 0..64"):
+        Graph.from_edges(-1, [])
+    with pytest.raises(ValueError, match="loop at vertex 3"):
+        Graph.from_edges(70, [(3, 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -303,3 +346,24 @@ def test_profile_matches_networkx_random():
         girth = nx.girth(G)
         assert p.girth == (None if girth == float("inf") else girth)
         assert set(bits(p.cut_vertices)) == set(nx.articulation_points(G))
+
+
+def test_is_tree_matches_networkx():
+    assert not is_tree(Graph.empty(0)) and not profile(Graph.empty(0)).is_tree
+    rng = random.Random(2718)
+    graphs = [g for n in range(1, 7) for g in enumerate_labeled_graphs(n)]
+    for _ in range(200):
+        n = rng.randint(3, 64)
+        tree = Graph.from_edges(n, prufer_decode(tuple(rng.randrange(n) for _ in range(n - 2)), n))
+        # moving one edge keeps m = n - 1 but usually closes a cycle and cuts the tree
+        u, v = rng.sample(range(n), 2)
+        moved = tree.edges()[1:]
+        if not tree.has_edge(u, v):
+            moved.append((u, v))
+        graphs += [tree, Graph.from_edges(n, moved)]
+    verdicts = set()
+    for g in graphs:
+        verdict = is_tree(g)
+        assert verdict == nx.is_tree(to_nx(g)), g
+        verdicts.add((verdict, g.edge_count() == g.n - 1))
+    assert verdicts == {(True, True), (False, True), (False, False)}

@@ -231,6 +231,37 @@ def test_graph_facts_lk_matches_oracle_on_class_representatives():
             assert facts.lk_bar(k) == limited_packing_oracle(complement(g), k).value, (g, k)
 
 
+def test_graph_facts_reads_every_k_from_one_prepared_search(monkeypatch):
+    from limpack import solvers
+    builds = []
+
+    class CountingPacking(solvers._Packing):
+        __slots__ = ()
+
+        def __init__(self, rows):
+            builds.append(len(rows))
+            super().__init__(rows)
+
+    monkeypatch.setattr(solvers, "_Packing", CountingPacking)
+    first = {}
+    for g in parse_corpus_spec("all_labeled(6)"):
+        first.setdefault(labeled_class(g), g)
+    graphs = list(first.values()) + [petersen(), Graph.empty(0), construct_family("cycle", 9)]
+    graphs += [g for n in range(8, 17) for g in random_connected(n, 4, 1500 + n, 0.3)]
+    for g in graphs:
+        facts = GraphFacts(g)
+        del builds[:]
+        ks = (4, 1, 3, 2)   # not in order: the prepared search keeps no per-k state
+        got = [(facts.lk(k), facts.lk_bar(k)) for k in ks]
+        assert len(builds) == 2   # one search for G and one for its complement
+        assert got == [(limited_packing_bb(g, k).value, limited_packing_bb(complement(g), k).value)
+                       for k in ks], g
+        prepared = solvers._Packing(g.closed)
+        for k in (4, 1, 3, 2, 4):
+            # value, witness and nodes_explored, as a fresh search gives them
+            assert prepared.solve(k) == limited_packing_bb(g, k), (g, k)
+
+
 # ---------------------------------------------------------------------------
 # structural properties on random graphs
 
