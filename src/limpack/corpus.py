@@ -195,9 +195,9 @@ def labeled_class(g: Graph, limit: int = CLASS_LIMIT) -> tuple[int, int] | None:
     """(n, class id), equal exactly for isomorphic graphs; None above limit (at most 7).
 
     Read from an orbit table of all edge masks of order n, built on first use:
-    at n = 6 it takes about 20 ms and 64 KB, at n = 7 about a second and 4 MB,
-    which pays only for a corpus holding every labeled graph of order 7
-    (Corpus.class_limit).
+    on two Intel Xeon cores it takes about 35 ms and 64 KB at n = 6 and about
+    3 s and 4 MB at n = 7, which pays only for a corpus holding every labeled
+    graph of order 7 (Corpus.class_limit).
     """
     if g.n > limit:
         return None

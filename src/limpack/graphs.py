@@ -6,7 +6,6 @@ solvers are single AND operations.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
@@ -190,6 +189,8 @@ def complement(g: Graph) -> Graph:
 
 def induced_subgraph(g: Graph, mask: int) -> Graph:
     """Subgraph induced by the vertices of mask, relabelled to 0..k-1 in order."""
+    if not 0 <= mask <= g.full_mask:
+        raise ValueError(f"vertex mask {mask} outside 0..{g.full_mask} for n = {g.n}")
     keep = list(bits(mask))
     index = {v: i for i, v in enumerate(keep)}
     adj = [0] * len(keep)
@@ -353,24 +354,32 @@ class GraphProfile:
     every_edge_on_triangle: bool
 
 
-def _bfs_dist(g: Graph, source: int, allowed: int) -> list[int]:
-    """Distances from source inside the allowed mask; -1 marks unreachable."""
-    dist = [-1] * g.n
-    dist[source] = 0
-    frontier = 1 << source
-    seen = frontier
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
+def _layers(g: Graph, root: int) -> tuple[int, int]:
+    """(eccentricity of root, shortest cycle its breadth-first layers close,
+    or 0).  An edge inside layer d closes a cycle of length at most 2d + 1,
+    and a vertex of layer d + 1 with two neighbours in layer d one of at
+    most 2d + 2; the first layer to close one gives the value.  A root on a
+    shortest cycle closes exactly that one, so the least nonzero value over
+    all roots is the girth (Itai and Rodeh, 1978)."""
+    adj = g.adj
+    frontier = seen = 1 << root
+    depth = cycle = 0
+    while True:
+        reach = twice = 0
         for v in bits(frontier):
-            nxt |= g.adj[v]
-        nxt &= allowed & ~seen
-        for v in bits(nxt):
-            dist[v] = d
-        seen |= nxt
-        frontier = nxt
-    return dist
+            row = adj[v]
+            twice |= reach & row
+            reach |= row
+        if not cycle:
+            if reach & frontier:
+                cycle = 2 * depth + 1
+            elif twice & ~seen:
+                cycle = 2 * depth + 2
+        frontier = reach & ~seen
+        if not frontier:
+            return depth, cycle
+        seen |= frontier
+        depth += 1
 
 
 def _component_count(g: Graph, allowed: int) -> int:
@@ -398,34 +407,12 @@ def is_tree(g: Graph) -> bool:
     return g.edge_count() == g.n - 1 and _component_count(g, g.full_mask) == 1
 
 
-def _girth(g: Graph) -> int | None:
-    """Shortest cycle length, via BFS from every vertex with parent tracking."""
-    best: int | None = None
-    full = g.full_mask
-    for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            if best is not None and dist[v] * 2 >= best:
-                break
-            for u in bits(g.adj[v] & full):
-                if dist[u] == -1:
-                    dist[u] = dist[v] + 1
-                    parent[u] = v
-                    queue.append(u)
-                elif u != parent[v] and v != parent[u]:
-                    cycle = dist[v] + dist[u] + 1
-                    if cycle == 3:  # no cycle is shorter
-                        return 3
-                    if best is None or cycle < best:
-                        best = cycle
-    return best
-
-
 def profile(g: Graph) -> GraphProfile:
+    """Degrees, connectivity, diameter, girth, cut vertices and the triangle
+    test.  K_0 counts as connected, not a tree, with diameter 0 and every
+    (no) edge on a triangle; K_1 is a tree with diameter 0.  A forest has
+    girth None, and its diameter is None unless it is a tree.  Costs n
+    layered walks (_layers) and about n component counts."""
     n = g.n
     degs = g.degrees()
     max_deg = max(degs, default=0)
@@ -439,21 +426,9 @@ def profile(g: Graph) -> GraphProfile:
     full = g.full_mask
     comp = _component_count(g, full)
     connected = comp == 1
-    diameter: int | None
-    if n == 1:
-        diameter = 0
-    elif not connected:
-        diameter = None
-    else:
-        diameter = 0
-        for v in range(n):
-            d = max(_bfs_dist(g, v, full))
-            if d > diameter:
-                diameter = d
-
-    m = g.edge_count()
-    # a graph with c components is acyclic iff m == n - c
-    girth = None if m == n - comp else _girth(g)
+    walks = [_layers(g, root) for root in range(n)]
+    diameter = max(ecc for ecc, _ in walks) if connected else None
+    girth = min((cycle for _, cycle in walks if cycle), default=None)
 
     cut = 0
     for v in range(n):

@@ -300,8 +300,8 @@ class GraphFacts:
     k, and the complement's GraphFacts keeps its own for lk_bar; both live as
     long as this object.  The campaign, the bound table and the
     Nordhaus-Gaddum sums read these attributes; run_campaign evaluates one
-    graph per isomorphism class of order <= 6, so evaluators read only
-    invariants.
+    graph per isomorphism class of order <= 6, and of order 7 too in a corpus
+    with an all_labeled(7) term, so evaluators read only invariants.
     """
 
     def __init__(self, g: Graph):

@@ -8,7 +8,8 @@ from limpack import (MAX_VERTICES, Graph, GraphFormatError, bits, complement,
                      disjoint_union, emit_graph6, format_edge_list,
                      induced_subgraph, mask_of, parse_edge_list, parse_graph6,
                      profile)
-from limpack.corpus import enumerate_labeled_graphs, enumerate_tree_classes, prufer_decode
+from limpack.corpus import (enumerate_labeled_graphs, enumerate_tree_classes, labeled_class,
+                            prufer_decode)
 from limpack.graphs import is_tree
 
 
@@ -85,6 +86,14 @@ def test_induced_subgraph():
     assert sub == Graph.from_edges(3, [(0, 1), (1, 2)])
     assert induced_subgraph(g, 0) == Graph.empty(0)
     assert induced_subgraph(g, g.full_mask) == g
+
+
+def test_induced_subgraph_rejects_masks_outside_the_graph():
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    for mask in (-1, 1 << g.n, g.full_mask | 1 << g.n):
+        with pytest.raises(ValueError) as err:
+            induced_subgraph(g, mask)
+        assert str(err.value) == f"vertex mask {mask} outside 0..31 for n = 5"
 
 
 def test_disjoint_union():
@@ -346,6 +355,56 @@ def test_profile_matches_networkx_random():
         girth = nx.girth(G)
         assert p.girth == (None if girth == float("inf") else girth)
         assert set(bits(p.cut_vertices)) == set(nx.articulation_points(G))
+
+
+def from_nx(G: nx.Graph) -> Graph:
+    G = nx.convert_node_labels_to_integers(G)
+    return Graph.from_edges(G.number_of_nodes(), G.edges())
+
+
+def assert_walk_matches_networkx(g: Graph) -> None:
+    p, G = profile(g), to_nx(g)
+    assert p.connected == nx.is_connected(G), g
+    assert p.diameter == (nx.diameter(G) if p.connected else None), g
+    girth = nx.girth(G)
+    assert p.girth == (None if girth == float("inf") else girth), g
+    assert set(bits(p.cut_vertices)) == set(nx.articulation_points(G)), g
+
+
+def test_profile_walk_matches_networkx_on_classes_up_to_order_6():
+    classes = {}
+    for n in range(1, 7):
+        for g in enumerate_labeled_graphs(n):
+            classes.setdefault(labeled_class(g), g)
+    assert len(classes) == 208
+    for g in classes.values():
+        assert_walk_matches_networkx(g)
+
+
+def test_profile_walk_matches_networkx_on_long_cycles_and_paths():
+    rng = random.Random(64)
+    for n in range(3, MAX_VERTICES + 1):
+        cycle = [(i, (i + 1) % n) for i in range(n)]
+        relabel = rng.sample(range(n), n)
+        for edges in (cycle, cycle[:-1]):
+            assert_walk_matches_networkx(Graph.from_edges(n, edges))
+            assert_walk_matches_networkx(
+                Graph.from_edges(n, [(relabel[u], relabel[v]) for u, v in edges]))
+
+
+def test_profile_walk_matches_networkx_on_named_graphs():
+    named = [(petersen(), 5), (from_nx(nx.hypercube_graph(6)), 4),
+             (from_nx(nx.grid_2d_graph(8, 8)), 4), (from_nx(nx.heawood_graph()), 6)]
+    for g, girth in named:
+        assert profile(g).girth == girth
+        assert_walk_matches_networkx(g)
+
+
+def test_profile_walk_matches_networkx_on_sparse_random_graphs():
+    rng = random.Random(1978)
+    for n in range(13, MAX_VERTICES + 1):
+        for c in (1.5, 2.5, 4.0):
+            assert_walk_matches_networkx(random_graph(n, c / n, rng))
 
 
 def test_is_tree_matches_networkx():
