@@ -44,6 +44,7 @@ class Outcome:
     detail: str | None = None
 
 
+# evaluators return these shared outcomes; only a violation builds a new one
 SKIP = Outcome(False)
 PASS = Outcome(True, False)
 POSITIVE = Outcome(True, True)
@@ -134,7 +135,7 @@ def _ev_lk_eq_k_characterization(f: GraphFacts, k: int) -> Outcome:
     structural = check_Lk_equals_k(f.g, k)
     if semantic != structural:
         return _bad(f"L_{k}={f.lk(k)} but structural test says {structural}")
-    return Outcome(True, semantic)
+    return POSITIVE if semantic else PASS
 
 
 def _ev_diam_le_2(f: GraphFacts, k: int) -> Outcome:
@@ -166,7 +167,7 @@ def _ev_ng_lower(f: GraphFacts, k: int) -> Outcome:
     cond = bounds.ng_lower_equality_condition(f.g, k)
     if (total == lower) != cond:
         return _bad(f"sum={total} vs 2k={lower}, structural equality condition={cond}")
-    return Outcome(True, total == lower)
+    return POSITIVE if total == lower else PASS
 
 
 def _ev_ng_upper(f: GraphFacts, k: int) -> Outcome:
@@ -175,7 +176,7 @@ def _ev_ng_upper(f: GraphFacts, k: int) -> Outcome:
     total = f.lk(k) + f.lk_bar(k)
     if total > cap:
         return _bad(f"L_{k}(G)+L_{k}(complement)={total} > {case} bound={cap}")
-    return Outcome(True, total == cap)
+    return POSITIVE if total == cap else PASS
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +187,7 @@ def _ev_l1_eq_1_iff_diam2(f: GraphFacts) -> Outcome:
     small = bounds.connected(f.n, p) and p.diameter <= 2
     if (f.lk(1) == 1) != small:
         return _bad(f"L_1={f.lk(1)} but diameter={p.diameter}")
-    return Outcome(True, f.lk(1) == 1)
+    return POSITIVE if f.lk(1) == 1 else PASS
 
 
 def _ev_open_packing_diam2(f: GraphFacts) -> Outcome:
@@ -218,7 +219,7 @@ def _ev_ng_l2_n_plus_2(f: GraphFacts) -> Outcome:
     total = f.lk(2) + f.lk_bar(2)
     if total > f.n + 2:
         return _bad(f"L_2(G)+L_2(complement)={total} > n+2={f.n + 2}")
-    return Outcome(True, total == f.n + 2)
+    return POSITIVE if total == f.n + 2 else PASS
 
 
 def _ev_class_g(f: GraphFacts) -> Outcome:
@@ -228,7 +229,7 @@ def _ev_class_g(f: GraphFacts) -> Outcome:
     if semantic != member:
         return _bad(f"L_2={f.lk(2)} vs n+1-max_degree={target}, "
                     f"witness {'found' if member else 'absent'}")
-    return Outcome(True, semantic)
+    return POSITIVE if semantic else PASS
 
 
 def _ev_l1_l2_sandwich(f: GraphFacts) -> Outcome:
@@ -245,7 +246,7 @@ def _ev_l1_l2_sandwich(f: GraphFacts) -> Outcome:
         fails.append(f"L_2={l2} exceeds 2(max_degree^2+1)L_1/(min_degree+1)={num}/{den}")
     if fails:
         return _bad("; ".join(fails))
-    return Outcome(True, l2 == lower)
+    return POSITIVE if l2 == lower else PASS
 
 
 def _ev_spider_characterization(f: GraphFacts) -> Outcome:
@@ -261,7 +262,7 @@ def _ev_spider_characterization(f: GraphFacts) -> Outcome:
         fails.append(f"L_2-L_1={l2 - l1} but spider-below-max-degree={member}")
     if fails:
         return _bad("; ".join(fails))
-    return Outcome(True, member)
+    return POSITIVE if member else PASS
 
 
 def _ev_class_t_characterization(f: GraphFacts) -> Outcome:
@@ -278,7 +279,7 @@ def _ev_class_t_characterization(f: GraphFacts) -> Outcome:
         fails.append(f"rho0={lo}, L_2={l2} but witness {'found' if member else 'absent'}")
     if fails:
         return _bad("; ".join(fails))
-    return Outcome(True, member)
+    return POSITIVE if member else PASS
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +452,26 @@ class CampaignReport:
 
 
 def _rows(evs: list[Evaluator], facts: GraphFacts, ks: list[int], interned: dict) -> tuple:
-    """One interned row (substantive, positives, ((k, detail), ...)) per evaluator."""
+    """One interned row (substantive, positives, ((k, detail), ...)) per evaluator.
+
+    A "once" evaluator runs with k None, a per-k one for each k in ks; the
+    substantive outcomes among them are counted, their positive ones
+    counted, and their violations listed with the k they ran at.
+    """
     rows = []
     for ev in evs:
-        outs = [(None, ev.fn(facts))] if ev.kind == "once" else [(k, ev.fn(facts, k)) for k in ks]
-        outs = [(k, out) for k, out in outs if out.substantive]
-        row = (len(outs), sum(1 for _, out in outs if out.positive),
-               tuple((k, out.detail) for k, out in outs if out.detail is not None))
+        fn, once = ev.fn, ev.kind == "once"
+        substantive = positives = 0
+        bad = ()
+        for k in (None,) if once else ks:
+            out = fn(facts) if once else fn(facts, k)
+            if out.substantive:
+                substantive += 1
+                if out.positive:
+                    positives += 1
+                if out.detail is not None:
+                    bad += ((k, out.detail),)
+        row = (substantive, positives, bad)
         rows.append(interned.setdefault(row, row))
     return tuple(rows)
 
@@ -499,13 +513,16 @@ def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
 
     Per-graph evaluators run once per isomorphism class of order <= 6, or <= 7
     for a corpus with an all_labeled(7) term (corpus.labeled_class,
-    Corpus.class_limit).  A class keeps its rows and a count of its members;
-    a later member adds one to the count, and its graph6 is emitted only when
-    the rows carry a violation, which it then records under its own graph6.
-    The counts enter the verdicts once per class, as rows times members.  So
-    evaluators, custom registry ones included, must depend only on isomorphism
-    invariants; the graph6 comes from the record.  Larger graphs and the
-    supplements are tallied one by one.
+    Corpus.class_limit), and once for every other graph.  One tally, keyed
+    by the interned rows tuple, counts the graphs that gave each rows tuple:
+    a class keeps its tally entry, so a later member costs one lookup and
+    one increment, and a graph whose rows repeat another's costs one
+    increment.  The counts enter the verdicts once per distinct rows tuple,
+    as rows times graphs.  A graph whose rows carry a violation records it
+    under its own graph6, the only time a corpus graph's graph6 is emitted.
+    So evaluators, custom registry ones included, must depend only on
+    isomorphism invariants; the graph6 comes from the record.  The
+    supplements and the standalone sweeps are tallied one by one.
     """
     registry = REGISTRY if registry is None else registry
     ids = list(dict.fromkeys(theorem_ids))
@@ -520,7 +537,8 @@ def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
     per_graph = [tid for tid in ids if registry[tid].kind != "standalone"]
     evs, targets = [registry[tid] for tid in per_graph], [verdicts[tid] for tid in per_graph]
     interned: dict = {}
-    by_class: dict = {}
+    tally: dict = {}      # rows -> [graphs, whether the rows carry a violation, rows]
+    by_class: dict = {}   # class key -> its rows' tally entry
     graphs = evaluated = 0
     class_limit = getattr(corpus, "class_limit", CLASS_LIMIT)
     if per_graph:
@@ -531,15 +549,15 @@ def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
             if entry is None:
                 evaluated += 1
                 rows = _rows(evs, GraphFacts(g), ks, interned)
-                if key is None:
-                    _tally(targets, rows, g)
-                    continue
-                # [rows, members so far, whether the rows carry a violation]
-                entry = by_class[key] = [rows, 0, any(bad for _, _, bad in rows)]
-            entry[1] += 1
-            if entry[2]:
-                _record(targets, entry[0], g)
-        for rows, members, _ in by_class.values():
+                entry = tally.get(rows)
+                if entry is None:
+                    entry = tally[rows] = [0, any(bad for _, _, bad in rows), rows]
+                if key is not None:
+                    by_class[key] = entry
+            entry[0] += 1
+            if entry[1]:
+                _record(targets, entry[2], g)
+        for members, _, rows in tally.values():
             _count(targets, rows, members)
     for tid in ids:
         ev = registry[tid]

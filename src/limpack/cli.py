@@ -35,7 +35,10 @@ def _load_graph(spec: str) -> Graph:
         if len(data) > EDGE_LIST_LIMIT:
             raise GraphFormatError(f"{path}: longer than {EDGE_LIST_LIMIT} bytes, the longest "
                                    f"edge list of a graph with {MAX_VERTICES} vertices")
-        text = data.decode()
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{path}: not UTF-8 text", exc.start) from None
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise GraphFormatError("graph file is empty", 0)

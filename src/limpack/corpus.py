@@ -20,8 +20,8 @@ from functools import cache
 from itertools import product
 from typing import Iterator
 
-from .graphs import (GRAPH6_LINE_LIMIT, Graph, GraphFormatError, _component_count,
-                     bits, parse_graph6)
+from .graphs import (_EDGE_PAIRS, GRAPH6_LINE_LIMIT, Graph, GraphFormatError,
+                     _component_count, bits, parse_graph6)
 
 LABELED_LIMIT = 7
 # the orbit table of order 7 (2^21 masks) is built only for all_labeled(7)
@@ -51,20 +51,47 @@ def splitmix64(seed: int) -> Iterator[int]:
 # exhaustive labeled graphs
 
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All 2^(n(n-1)/2) labeled simple graphs of order n, in edge-mask order."""
+    """All 2^(n(n-1)/2) labeled simple graphs of order n, in edge-mask order.
+
+    Each graph's rows are the previous graph's with the edge positions where
+    mask and mask - 1 differ toggled: positions 0..t for t the lowest set bit
+    of mask, two on average.  Each graph carries its mask (Graph.edge_mask).
+    """
     if not 1 <= n <= LABELED_LIMIT:
         raise ValueError(f"exhaustive enumeration capped at n <= {LABELED_LIMIT}")
-    for mask in range(1 << n * (n - 1) // 2):
-        yield Graph.from_edge_mask(n, mask)
+    # flips[t]: (vertex, row bits) toggled by the positions 0..t together
+    flips, rows = [], [0] * n
+    for i, j in _EDGE_PAIRS[:n * (n - 1) // 2]:
+        rows[i] ^= 1 << j
+        rows[j] ^= 1 << i
+        flips.append(tuple((v, x) for v, x in enumerate(rows) if x))
+    adj = [0] * n
+    yield Graph._trusted(n, adj, 0)
+    for mask in range(1, 1 << n * (n - 1) // 2):
+        for v, x in flips[(mask & -mask).bit_length() - 1]:
+            adj[v] ^= x
+        yield Graph._trusted(n, adj, mask)
 
 
 # ---------------------------------------------------------------------------
 # labeled trees via the Pruefer bijection
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    """Edges of the labeled tree on 0..n-1 with Pruefer sequence seq."""
+    """Edges of the labeled tree on 0..n-1 with Pruefer sequence seq.
+
+    Raises ValueError unless n >= 2 and seq holds n - 2 entries in 0..n-1.
+    """
+    if len(seq) != n - 2:   # holds for every n < 2
+        if n < 2:
+            raise ValueError(f"Pruefer decoding needs n >= 2, got n = {n}")
+        raise ValueError(f"Pruefer sequence of length {len(seq)} for n = {n}, "
+                         f"where n - 2 = {n - 2}")
     degree = [1] * n
+    # checked in the count, which reads every entry anyway: on these short
+    # sequences a separate min() costs twice as much
     for x in seq:
+        if not 0 <= x < n:
+            raise ValueError(f"Pruefer entry {x} outside 0..{n - 1} for n = {n}")
         degree[x] += 1
     ptr = 0
     while degree[ptr] != 1:
@@ -192,13 +219,18 @@ def _class_table(n: int) -> array:
 
 
 def labeled_class(g: Graph, limit: int = CLASS_LIMIT) -> tuple[int, int] | None:
-    """(n, class id), equal exactly for isomorphic graphs; None above limit (at most 7).
+    """(n, class id), equal exactly for isomorphic graphs; None above limit.
 
     Read from an orbit table of all edge masks of order n, built on first use:
     on two Intel Xeon cores it takes about 35 ms and 64 KB at n = 6 and about
     3 s and 4 MB at n = 7, which pays only for a corpus holding every labeled
-    graph of order 7 (Corpus.class_limit).
+    graph of order 7 (Corpus.class_limit).  The index is g.edge_mask(), which
+    a graph from enumerate_labeled_graphs or from_edge_mask already holds.
+    A limit above LABELED_LIMIT raises ValueError before any work: the table
+    of order 8 would hold 2^28 entries.
     """
+    if limit > LABELED_LIMIT:
+        raise ValueError(f"labeled_class limit {limit} above {LABELED_LIMIT}")
     if g.n > limit:
         return None
     return g.n, _class_table(g.n)[g.edge_mask()]

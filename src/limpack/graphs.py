@@ -72,9 +72,14 @@ class Graph:
     from_edges, complement, induced_subgraph, disjoint_union and
     corpus.enumerate_tree_classes check their own inputs and make rows that
     pass by construction, so they skip that check through Graph._trusted.
+
+    A graph keeps its edge mask once it is known: from_edge_mask and
+    corpus.enumerate_labeled_graphs store the mask they built from (so
+    parse_graph6 and random_connected graphs carry it too), and edge_mask()
+    stores the one it computes.  Equality and hashing read only n and adj.
     """
 
-    __slots__ = ("n", "adj", "closed")
+    __slots__ = ("n", "adj", "closed", "_mask")
 
     def __init__(self, n: int, adj: Iterable[int]):
         adj = tuple(adj)
@@ -95,15 +100,18 @@ class Graph:
         self.adj = adj
         # closed neighbourhoods N[v]; the solvers' hot loops index these
         self.closed = tuple(map(or_, adj, _BIT))
+        self._mask = None
 
     @classmethod
-    def _trusted(cls, n: int, adj: Iterable[int]) -> "Graph":
+    def _trusted(cls, n: int, adj: Iterable[int], mask: int | None = None) -> "Graph":
         """Graph(n, adj) without the row checks, for n rows that are symmetric,
-        loop-free and inside 0..n-1 by construction (0 <= n <= 64)."""
+        loop-free and inside 0..n-1 by construction (0 <= n <= 64); mask, when
+        given, must be their edge mask."""
         g = object.__new__(cls)
         g.n = n
         g.adj = adj = tuple(adj)
         g.closed = tuple(map(or_, adj, _BIT))
+        g._mask = mask
         return g
 
     @classmethod
@@ -132,20 +140,25 @@ class Graph:
         if mask >> (n * (n - 1) // 2):
             raise ValueError(f"edge mask has a bit at or above n(n-1)/2 = {n * (n - 1) // 2}")
         adj = [0] * n
-        # a low-bit loop: this builds every graph of all_labeled(N)
-        while mask:
-            low = mask & -mask
+        rest = mask
+        while rest:
+            low = rest & -rest
             i, j = _EDGE_PAIRS[low.bit_length() - 1]
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-            mask ^= low
-        return cls._trusted(n, adj)
+            rest ^= low
+        return cls._trusted(n, adj, mask)
 
     def edge_mask(self) -> int:
-        """The graph6 edge mask: the edge (i, j), i < j, is bit j(j-1)/2 + i."""
-        mask = 0
-        for j in range(1, self.n):
-            mask |= (self.adj[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
+        """The graph6 edge mask: the edge (i, j), i < j, is bit j(j-1)/2 + i.
+        The stored mask when the graph has one, else computed from the rows
+        and stored."""
+        mask = self._mask
+        if mask is None:
+            mask = 0
+            for j in range(1, self.n):
+                mask |= (self.adj[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
+            self._mask = mask
         return mask
 
     @property
@@ -300,22 +313,27 @@ EDGE_LIST_LIMIT = (len(f"{MAX_VERTICES} {len(_EDGE_PAIRS)}\r\n")
 
 
 def parse_edge_list(text: str) -> Graph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    """Graph from an edge list.  Errors name lines as the text numbers them,
+    blank ones included; an edge given twice, in either order, is an error
+    naming both lines."""
+    lines = [(i, ln) for i, ln in enumerate((raw.strip() for raw in text.splitlines()), 1)
+             if ln]
     if not lines:
         raise GraphFormatError("empty edge-list input")
-    head = lines[0].split()
+    at, head = lines[0]
+    head = head.split()
     if len(head) != 2:
-        raise GraphFormatError("edge-list line 1 must be 'n m'")
+        raise GraphFormatError(f"edge-list line {at} must be 'n m'")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise GraphFormatError("edge-list line 1 must be 'n m'") from None
+        raise GraphFormatError(f"edge-list line {at} must be 'n m'") from None
     if not 0 <= n <= MAX_VERTICES:
         raise GraphFormatError(f"order {n} outside 0..{MAX_VERTICES}")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for i, ln in enumerate(lines[1:], start=2):
+    edges = {}   # (u, v), u < v -> the line that gave it
+    for i, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphFormatError(f"edge-list line {i} must be 'u v'")
@@ -327,7 +345,11 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphFormatError(f"edge-list line {i}: vertex outside 0..{n - 1}")
         if u == v:
             raise GraphFormatError(f"edge-list line {i}: loop at {u}")
-        edges.append((u, v))
+        edge = (min(u, v), max(u, v))
+        if edge in edges:
+            raise GraphFormatError(f"edge-list line {i}: edge {edge[0]}-{edge[1]} "
+                                   f"repeats line {edges[edge]}")
+        edges[edge] = i
     return Graph.from_edges(n, edges)
 
 

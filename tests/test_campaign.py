@@ -341,3 +341,53 @@ def test_per_graph_callers_never_reach_the_oracle(monkeypatch):
     report = run_campaign(["th-diam2-construction", "th-prescribed-construction"],
                           parse_corpus_spec("trees(3)"), (1, 2))
     assert [(v.status, v.graphs_checked) for v in report.verdicts] == [("pass", 4), ("pass", 9)]
+
+
+def _nine_edges_at_k2(f: GraphFacts, k: int) -> Outcome:
+    """Planted: fails at k = 2 on every graph with nine edges, positive on connected ones."""
+    if k == 2 and f.g.edge_count() == 9:
+        return Outcome(True, False, f"nine edges at k={k}")
+    return Outcome(True, f.profile.connected)
+
+
+def test_repeated_rows_without_class_key_match_graph_by_graph():
+    # order 8 is above every class limit, so each graph is evaluated; the
+    # second copy and the relabeling repeat the first one's rows
+    registry = dict(REGISTRY)
+    registry["planted-per-k"] = Evaluator("per_k", fn=_nine_edges_at_k2)
+    ids = ["planted-per-k", "lem-kgamma", "th-ng-upper", "cor-classG", "th-girth-l1"]
+    g = Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)] + [(0, 4)])
+    perm = [3, 7, 0, 5, 1, 6, 2, 4]
+    relabeled = Graph.from_edges(8, [(perm[u], perm[v]) for u, v in g.edges()])
+    path = Graph.from_edges(8, [(i, i + 1) for i in range(7)])
+    corpus = [g, path, g, relabeled]
+    assert labeled_class(g) is None and emit_graph6(relabeled) != emit_graph6(g)
+    ks = (1, 2, 3)
+    report = run_campaign(ids, corpus, ks, registry=registry, corpus_spec="planted")
+    expect = {tid: {"theorem_id": tid, "graphs_checked": 0, "substantive_checks": 0,
+                    "positive_cases": 0, "violations": []} for tid in ids}
+    for h in corpus:
+        facts = GraphFacts(h)
+        for tid in ids:
+            ev = registry[tid]
+            outs = ([(None, ev.fn(facts))] if ev.kind == "once" else
+                    [(k, ev.fn(facts, k)) for k in ks])
+            e = expect[tid]
+            e["graphs_checked"] += 1
+            for k, out in outs:
+                e["substantive_checks"] += out.substantive
+                e["positive_cases"] += out.substantive and out.positive
+                if out.detail is not None:
+                    e["violations"].append({"graph6": emit_graph6(h), "k": k,
+                                            "detail": out.detail})
+    for e in expect.values():
+        e["violations"].sort(key=campaign_mod._violation_key)
+        e["status"] = ("fail" if e["violations"] else
+                       "vacuous" if e["substantive_checks"] == 0 else "pass")
+    assert [v.as_dict() for v in report.verdicts] == [expect[tid] for tid in sorted(ids)]
+    planted = {v.theorem_id: v for v in report.verdicts}["planted-per-k"]
+    # one record per member of the repeated rows, each under its own graph6
+    assert sorted(v["graph6"] for v in planted.violations) == \
+        sorted([emit_graph6(g)] * 2 + [emit_graph6(relabeled)])
+    assert {v["k"] for v in planted.violations} == {2}
+    assert (report.graphs, report.classes_evaluated) == (4, 4)

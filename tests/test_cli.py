@@ -99,6 +99,23 @@ def test_non_ascii_graph_exits_2(capsys):
     assert err == "error: character U+00E9 outside graph6 range 63..126 (byte 1)\n"
 
 
+def test_graph_file_repeated_edge_exits_2(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("3 2\n0 1\n1 0\n")
+    rc, out, err = run(capsys, "params", "--graph", f"@{path}")
+    assert rc == 2 and out == ""
+    assert err == "error: edge-list line 3: edge 0-1 repeats line 2\n"
+
+
+def test_graph_file_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    for data, at in ((b"\xff3 2\n0 1\n1 2\n", 0), (b"3 2\n0 1\n1 \xe9\n", 10)):
+        path.write_bytes(data)
+        rc, out, err = run(capsys, "params", "--graph", f"@{path}")
+        assert rc == 2 and out == ""
+        assert err == f"error: {path}: not UTF-8 text (byte {at})\n"
+
+
 def test_graph_file_bounded(tmp_path, capsys, monkeypatch):
     # the longest valid file, K_64 as an edge list with CRLF line ends, still parses
     edges = [(i, j) for j in range(64) for i in range(j)]

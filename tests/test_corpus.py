@@ -62,6 +62,20 @@ def test_prufer_decode_spot():
     assert g.degrees()[3] == 5          # star centred at 3
 
 
+def test_prufer_decode_rejects_malformed():
+    for seq, n, fault in (((-1,), 3, "entry -1 outside 0..2 for n = 3"),
+                          ((7,), 3, "entry 7 outside 0..2 for n = 3"),
+                          ((0, 6, 1, 4), 6, "entry 6 outside 0..5 for n = 6"),
+                          ((), 1, "needs n >= 2, got n = 1"),
+                          ((), 0, "needs n >= 2, got n = 0"),
+                          ((0,), 2, "length 1 for n = 2, where n - 2 = 0"),
+                          ((0, 0, 0), 3, "length 3 for n = 3, where n - 2 = 1")):
+        with pytest.raises(ValueError, match="Pruefer") as err:
+            prufer_decode(seq, n)
+        assert fault in str(err.value), (seq, n)
+    assert prufer_decode((), 2) == [(0, 1)]
+
+
 def test_tree_class_counts():
     for n, expect in TREE_CLASS_COUNTS.items():
         reps = enumerate_tree_classes(n)
@@ -225,6 +239,53 @@ def test_labeled_class_matches_atlas():
             rng.shuffle(perm)
             relabeled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
             assert labeled_class(relabeled) == key
+
+
+def test_labeled_class_limit_bounded(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"an orbit table of order {n} was built")
+    monkeypatch.setattr(corpus_mod, "_class_table", refuse)
+    g = Graph.empty(8)
+    t0 = time.perf_counter()
+    for limit in (8, 9, 64):
+        with pytest.raises(ValueError, match=f"limit {limit} above 7"):
+            labeled_class(g, limit)
+    assert time.perf_counter() - t0 < 0.05
+
+
+def per_mask_graph(n: int, mask: int) -> Graph:
+    """The reference builder: every edge position of mask set on its own."""
+    adj = [0] * n
+    pos = 0
+    for j in range(1, n):
+        for i in range(j):
+            if mask >> pos & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            pos += 1
+    return Graph(n, adj)
+
+
+def assert_same_build(g: Graph, n: int, mask: int) -> None:
+    ref = per_mask_graph(n, mask)
+    built = Graph.from_edge_mask(n, mask)
+    assert (g.n, g.adj, g.closed) == (ref.n, ref.adj, ref.closed) == \
+        (built.n, built.adj, built.closed)
+    assert g.edge_mask() == ref.edge_mask() == built.edge_mask() == mask
+
+
+def test_incremental_enumeration_matches_per_mask_builder():
+    for n in range(1, 7):
+        count = 0
+        for mask, g in enumerate(enumerate_labeled_graphs(n)):
+            assert_same_build(g, n, mask)
+            count = mask + 1
+        assert count == 1 << n * (n - 1) // 2
+    sample = set(random.Random(7).sample(range(1 << 21), 3000)) | {0, 1, (1 << 21) - 1}
+    for mask, g in enumerate(enumerate_labeled_graphs(7)):
+        assert g.edge_mask() == mask
+        if mask in sample:
+            assert_same_build(g, 7, mask)
 
 
 @pytest.mark.slow

@@ -139,6 +139,32 @@ def test_trusted_builders_match_checked_constructor():
         assert_checked_equal(g)
 
 
+def rows_mask(g: Graph) -> int:
+    """The graph6 edge mask read from the rows alone, pair by pair."""
+    return sum(1 << (j * (j - 1) // 2 + i) for i, j in g.edges())
+
+
+def test_edge_mask_matches_rows_for_every_builder():
+    from limpack.corpus import random_connected
+    rng = random.Random(29)
+    graphs = []
+    for n in range(0, 7):
+        for mask in rng.sample(range(1 << n * (n - 1) // 2), min(40, 1 << n * (n - 1) // 2)):
+            g = Graph.from_edge_mask(n, mask)
+            graphs += [g, parse_graph6(emit_graph6(g)), Graph.from_edges(n, g.edges()),
+                       Graph(n, g.adj), complement(g),
+                       induced_subgraph(g, rng.getrandbits(n) if n else 0),
+                       disjoint_union(g, complement(g))]
+    graphs += [t for n in range(1, 10) for t in enumerate_tree_classes(n)]
+    graphs += list(random_connected(12, 20, seed=5))
+    big = random_graph(64, 0.5, rng)
+    graphs += [big, complement(big), parse_graph6(emit_graph6(big))]
+    for g in graphs:
+        assert g.edge_mask() == rows_mask(g), g
+        assert g.edge_mask() == rows_mask(g)          # the stored mask, read again
+        assert Graph.from_edge_mask(g.n, g.edge_mask()) == g
+
+
 def test_from_edges_checks_order_after_edges():
     with pytest.raises(ValueError, match="order 65 outside 0..64"):
         Graph.from_edges(65, [(0, 64)])
@@ -281,6 +307,20 @@ def test_edge_list_errors():
         parse_edge_list("3 2\n0 1\n")        # fewer edges than announced
     with pytest.raises(GraphFormatError):
         parse_edge_list("3 1\n0 7\n")        # endpoint out of range
+    with pytest.raises(GraphFormatError, match="^edge-list line 4: loop at 2$"):
+        parse_edge_list("3 2\n0 1\n\n2 2\n")
+    with pytest.raises(GraphFormatError, match="^edge-list line 2 must be 'n m'$"):
+        parse_edge_list("\n3\n")
+
+
+def test_edge_list_repeated_edge_names_both_lines():
+    # a line's number counts the blank lines before it
+    for text, message in (("3 2\n0 1\n1 0\n", "line 3: edge 0-1 repeats line 2"),
+                          ("\n3 2\n1 2\n\n1 2\n", "line 5: edge 1-2 repeats line 3"),
+                          ("4 3\n2 0\n1 3\n0 2\n", "line 4: edge 0-2 repeats line 2")):
+        with pytest.raises(GraphFormatError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == f"edge-list {message}"
 
 
 # ---------------------------------------------------------------------------
