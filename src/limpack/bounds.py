@@ -316,9 +316,13 @@ def ng_upper_bound(n: int, k: int, max_degree: int, min_degree: int) -> tuple[st
     return "mixed", 2 * n - 1
 
 
-def nordhaus_gaddum(g: Graph, k: int) -> NGReport:
-    """Exact L_k(G) + L_k(complement) with the matching case-split upper bound."""
-    f = solvers.GraphFacts(g)
+def nordhaus_gaddum(g: Graph, k: int, log: list | None = None) -> NGReport:
+    """Exact L_k(G) + L_k(complement) with the matching case-split upper bound.
+
+    log, when a list, receives the GraphFacts record of the L_k(complement)
+    solve: its route and searches.
+    """
+    f = solvers.GraphFacts(g, log)
     val, val_bar = f.lk(k), f.lk_bar(k)
     n = g.n
     degs = g.degrees()

@@ -145,7 +145,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_ng(args) -> int:
     g = _load_graph(args.graph)
-    _emit(bounds_mod.nordhaus_gaddum(g, args.k).as_dict())
+    log: list[dict] = []
+    _emit(bounds_mod.nordhaus_gaddum(g, args.k, log).as_dict())
+    if args.stats:
+        print(json.dumps(log[0]), file=sys.stderr)
     return 0
 
 
@@ -261,6 +264,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ng", help="L_k(G) + L_k(complement) with case bounds")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
+    p.add_argument("--stats", action="store_true",
+                   help="print the route L_k(complement) took and the searches it "
+                        "ran, with nodes explored and elapsed seconds, as one JSON "
+                        "line on stderr")
     p.set_defaults(func=cmd_ng)
 
     p = sub.add_parser("recognize", help="membership tests for extremal families")

@@ -7,13 +7,17 @@ rho0, gamma and gamma_t go through the same branch-and-bound engine, at every
 order.  All are deterministic: the oracle returns the smallest bitmask among
 maximum solutions, branch and bound the first optimum in its search order.
 limited_packing_number's default ("auto") is branch and bound at every order;
-the oracle runs only on request.  GraphFacts caches these values for one
-graph, for the bound panel, the Nordhaus-Gaddum sums and the campaign.
+the oracle runs only on request.  The engine's cover sense takes a demand j:
+gamma and gamma_t are its j = 1 case, and j-tuple total domination gives L_k
+of the complement of a sparse graph from the graph's own rows.  GraphFacts
+caches these values for one graph, for the bound panel, the Nordhaus-Gaddum
+sums and the campaign.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from time import perf_counter
 
 from .graphs import Graph, GraphProfile, bits, complement, profile
 
@@ -81,21 +85,32 @@ def limited_packing_oracle(g: Graph, k: int) -> SolveResult:
     return SolveResult(best, best_mask, 1 << n, "oracle")
 
 
-def _search(rows: list[int], cap: int, sense: str) -> SolveResult:
+def _search(rows: list[int], cap: int, sense: str, limit: int | None = None) -> SolveResult:
     """Branch and bound over vertex sets S, given symmetric rows (v in rows[u] iff u in rows[v]).
 
     sense "max" (packing): the largest S meeting every row in at most cap
     vertices, by a _Packing over the rows (see there), prepared and solved once.
 
-    sense "min" (cover; cap is 1): the smallest S meeting every row.  Each
-    node branches on the uncovered vertex with the fewest candidates (row
-    vertices not yet excluded; ties by index), choosing each candidate in
-    turn by descending number of uncovered vertices it covers (ties by
-    index) and excluding it from the later branches, so the first descent is
-    a greedy cover and the first incumbent.  The packing lower bound prunes:
-    uncovered vertices with pairwise disjoint candidate sets, taken greedily
-    by fewest candidates, each need their own vertex of S (the local form of
-    gamma >= rho).
+    sense "min" (cover; cap is the demand j >= 1): the smallest S meeting
+    every row in at least j vertices, value n + 1 when no S does.  With open
+    rows and j = 1 that is a total dominating set, with closed rows a
+    dominating set, and with open rows and larger j a j-tuple total dominating
+    set.  A vertex is needy while its row holds fewer than j members of S, its
+    candidates are the row's vertices not yet chosen or excluded, and its
+    slack is its candidates minus its need.  Each node branches on the needy
+    vertex of least slack (ties by larger need, then by index), choosing each
+    candidate in turn by descending number of needy vertices it serves (ties
+    by index) and excluding it from the later branches; once fewer candidates
+    are left than the need, the later branches are empty and are skipped.  So
+    the first descent is a greedy cover and the first incumbent.  A negative
+    slack kills the node, and the packing lower bound prunes: needy vertices
+    with pairwise disjoint candidate sets, taken greedily by need and then
+    fewest candidates, each need their own members of S (the local form of
+    gamma >= rho).  limit, when given, caps the search: it starts with limit +
+    1 as the incumbent, so the value is the optimum when that is at most
+    limit and limit + 1 otherwise.  At j = 1 there is one layer and every
+    slack is the candidate count less one, so the search is the plain cover
+    search; tests/golden/cover_sparse.json pins its witnesses and node counts.
 
     The witness is the first optimum in search order; no valid bound prunes
     it, so the bounds change only nodes_explored.
@@ -103,32 +118,51 @@ def _search(rows: list[int], cap: int, sense: str) -> SolveResult:
     n = len(rows)
     nodes = 0
     if sense == "min":
-        best = n + 1
+        best = n + 1 if limit is None else limit + 1
         best_mask = 0
+        full = (1 << n) - 1
+        # layer t, bits t*n .. t*n + n - 1 of one int, holds the vertices that
+        # need more than t further members of S.  Choosing x clears x's row in
+        # every layer and moves each layer down one: a neighbour of x needs one less.
+        spread = [sum(row << t * n for t in range(cap)) for row in rows]
+        needs = [(r, (r - 1) * n) for r in range(cap, 0, -1)]  # (need, shift of layer r - 1)
 
-        def cover(chosen: int, chosen_mask: int, uncovered: int, excluded: int) -> None:
+        def cover(chosen: int, chosen_mask: int, layers: int, excluded: int) -> None:
             nonlocal best, best_mask, nodes
             nodes += 1
-            if not uncovered:
+            if not layers:
                 best, best_mask = chosen, chosen_mask
                 return
             allowed = ~excluded
-            cands = sorted((rows[u] & allowed for u in bits(uncovered)), key=int.bit_count)
-            if not cands[0]:
-                return
-            need = 0
+            bound = 0
             used = 0
-            for c in cands:
-                if not c & used:
-                    need += 1
-                    used |= c
-            if chosen + need >= best:
+            slack = n
+            above = 0
+            for r, shift in needs:
+                layer = layers >> shift & full
+                cands = sorted((rows[u] & allowed for u in bits(layer & ~above)), key=int.bit_count)
+                above = layer
+                if not cands:
+                    continue
+                if cands[0].bit_count() - r < slack:
+                    slack = cands[0].bit_count() - r
+                    if slack < 0:
+                        return
+                    first = cands[0]
+                for c in cands:
+                    if not c & used:
+                        bound += r
+                        used |= c
+            if chosen + bound >= best:
                 return
-            for x in sorted(bits(cands[0]), key=lambda x: -(rows[x] & uncovered).bit_count()):
-                cover(chosen + 1, chosen_mask | (1 << x), uncovered & ~rows[x], excluded)
-                excluded |= 1 << x
+            needy = layers & full
+            for x in sorted(bits(first), key=lambda x: -(rows[x] & needy).bit_count())[:slack + 1]:
+                xm = 1 << x
+                cover(chosen + 1, chosen_mask | xm, layers & ~spread[x] | layers >> n,
+                      excluded | xm)
+                excluded |= xm
 
-        cover(0, 0, (1 << n) - 1, 0)
+        cover(0, 0, sum(full << t * n for t in range(cap)), 0)
         return SolveResult(best, best_mask, nodes, "branch-and-bound")
 
     return _Packing(rows).solve(cap)
@@ -293,21 +327,39 @@ def total_domination_number(g: Graph) -> SolveResult:
 class GraphFacts:
     """Lazily computed exact parameters for one graph.
 
-    Every value, L_k of the graph and of its complement included, comes from
-    branch and bound at every order; only values are read, so which optimum
-    a solver returns does not matter here.  One packing search over the
-    closed neighbourhoods is prepared on the first lk read and answers every
-    k, and the complement's GraphFacts keeps its own for lk_bar; both live as
-    long as this object.  The campaign, the bound table and the
-    Nordhaus-Gaddum sums read these attributes; run_campaign evaluates one
-    graph per isomorphism class of order <= 6, and of order 7 too in a corpus
-    with an all_labeled(7) term, so evaluators read only invariants.
+    Every value comes from branch and bound at every order; only values are
+    read, so which optimum a solver returns does not matter here.  One packing
+    search over the closed neighbourhoods is prepared on the first lk read and
+    answers every k.  The campaign, the bound table and the Nordhaus-Gaddum
+    sums read these attributes; run_campaign evaluates one graph per
+    isomorphism class of order <= 6, and of order 7 too in a corpus with an
+    all_labeled(7) term, so evaluators read only invariants.
+
+    lk_bar(k), L_k of the complement, takes its route from the graph.  For
+    n > k and j >= 1, a set S of k + j vertices is a k-limited packing of the
+    complement iff every vertex has at least j neighbours of S in G, that is
+    iff S is a j-tuple total dominating set of G (Henning & Kazemi, Discrete
+    Appl. Math. 158, 2010), and a superset of one is one too.  So L_k of the
+    complement is n when n <= k, k when G has an isolated vertex, and
+    otherwise k plus the largest j <= min(delta, n - k) with gamma_{xj,t}(G) <=
+    k + j.  When G has at most as many edges as its complement, lk_bar reads
+    that off G's own open rows: j = 1 from gamma_t when it is known, and each
+    j from a demand-j cover search capped at k + j, kept per j so that later
+    k reuse it; gamma_{xj,t} - j never decreases, so the first j that fails ends
+    the scan.  A denser G runs the packing search on the complement's closed
+    rows, prepared once for every k.  When log is a list, each lk_bar call
+    appends {"k", "route", "searches"}: the route ("tuple-domination", also
+    for n <= k and an isolated vertex, or "complement") and each search it ran
+    with its nodes_explored and elapsed_s.
     """
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, log: list | None = None):
         self.g = g
         self.n = g.n
+        self.log = log
         self._lk: dict[int, int] = {}
+        self._lk_bar: dict[int, int] = {}
+        self._tuple: dict[int, tuple[int, int]] = {}  # j: (search value, its cap)
 
     @cached_property
     def profile(self) -> GraphProfile:
@@ -329,13 +381,57 @@ class GraphFacts:
         return self.lk(1)
 
     @cached_property
-    def _bar(self) -> GraphFacts:
-        """The facts of the complement, built on the first read."""
-        return GraphFacts(complement(self.g))
+    def _bar_packing(self) -> _Packing:
+        """The packing search over the complement's closed neighbourhoods."""
+        return _Packing(complement(self.g).closed)
 
     def lk_bar(self, k: int) -> int:
         """L_k of the complement."""
-        return self._bar.lk(k)
+        if k not in self._lk_bar:
+            _check_k(k)
+            self._lk_bar[k] = self._solve_lk_bar(k)
+        return self._lk_bar[k]
+
+    def _solve_lk_bar(self, k: int) -> int:
+        g, n = self.g, self.n
+        delta = min(map(int.bit_count, g.adj), default=0)
+        dense = 4 * g.edge_count() > n * (n - 1)
+        route = "complement" if n > k and delta and dense else "tuple-domination"
+        searches: list[dict] = []
+        if self.log is not None:
+            self.log.append({"k": k, "route": route, "searches": searches})
+        if n <= k:
+            return n
+        if route == "complement":
+            return self._timed(searches, {"search": "packing", "rows": "complement", "k": k},
+                               lambda: self._bar_packing.solve(k)).value
+        j = 0
+        while j < min(delta, n - k) and self._tuple_dominated(j + 1, k + j + 1, searches):
+            j += 1
+        return k + j
+
+    def _tuple_dominated(self, j: int, size: int, searches: list[dict]) -> bool:
+        """gamma_{xj,t}(G) <= size, for j <= delta: from gamma_t when j = 1 and it is
+        known, else from a demand-j cover of the open rows, capped at size."""
+        if j == 1 and "gamma_t" in self.__dict__:
+            return self.gamma_t <= size
+        value, cap = self._tuple.get(j, (size + 1, -1))
+        if value > cap and cap < size:  # not exact, and not known to exceed size
+            record = {"search": "tuple-total-domination", "j": j, "cap": size}
+            value = self._timed(searches, record,
+                                lambda: _search(self.g.adj, j, "min", size)).value
+            self._tuple[j] = value, size
+        return value <= size
+
+    def _timed(self, searches: list[dict], record: dict, solve) -> SolveResult:
+        if self.log is None:
+            return solve()
+        t0 = perf_counter()
+        res = solve()
+        record.update(nodes_explored=res.nodes_explored,
+                      elapsed_s=round(perf_counter() - t0, 6))
+        searches.append(record)
+        return res
 
     @cached_property
     def gamma(self) -> int:

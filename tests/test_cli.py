@@ -79,6 +79,28 @@ def test_params_stats_on_stderr_only(capsys):
             assert entry["nodes_explored"] >= 0 and entry["elapsed_s"] >= 0
 
 
+def test_ng_stats_on_stderr_only(capsys):
+    cases = [  # graph, k, route, searches run
+        (emit_graph6(build_from_spec("path:9")), 2, "tuple-domination", ["tuple-total-domination"]),
+        (emit_graph6(build_from_spec("complete_minus_edge:6")), 2, "complement", ["packing"]),
+        ("Ds?", 2, "tuple-domination", []),     # an isolated vertex: L_2(complement) = 2
+        ("DhC", 5, "tuple-domination", []),     # n <= k: L_5(complement) = 5
+    ]
+    for graph, k, route, searches in cases:
+        rc, plain_out, plain_err = run(capsys, "ng", "--graph", graph, "--k", str(k))
+        assert rc == 0 and plain_err == ""
+        rc, out, err = run(capsys, "ng", "--graph", graph, "--k", str(k), "--stats")
+        assert rc == 0 and out == plain_out
+        lines = err.splitlines()
+        assert len(lines) == 1
+        stats = json.loads(lines[0])
+        assert list(stats) == ["k", "route", "searches"]
+        assert (stats["k"], stats["route"]) == (k, route)
+        assert [s["search"] for s in stats["searches"]] == searches
+        for entry in stats["searches"]:
+            assert entry["nodes_explored"] >= 0 and entry["elapsed_s"] >= 0
+
+
 def test_graph_from_edge_list_file(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text("5 4\n0 1\n1 2\n2 3\n3 4\n")

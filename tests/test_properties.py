@@ -15,7 +15,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from limpack import (Graph, GraphFormatError, UndefinedParameterError,  # noqa: E402
-                     bits, disjoint_union, domination_number, emit_graph6,
+                     bits, complement, disjoint_union, domination_number, emit_graph6,
                      is_dominating_set, is_k_limited_packing,
                      is_open_packing, is_total_dominating_set,
                      limited_packing_bb, limited_packing_number,
@@ -23,6 +23,7 @@ from limpack import (Graph, GraphFormatError, UndefinedParameterError,  # noqa: 
                      parse_graph6, total_domination_number)
 from limpack.corpus import (graph_canonical_tree_key, prufer_decode,  # noqa: E402
                             tree_canonical_key)
+from limpack.solvers import GraphFacts  # noqa: E402
 
 
 @st.composite
@@ -80,6 +81,18 @@ def test_disjoint_union_additive(g, h):
     assert lu == tuple(a + b for a, b in zip(lg, lh))
     assert (gamma_u, rho_u) == (gamma_g + gamma_h, rho_g + rho_h)
     assert tu == (None if None in (tg, th) else tg + th)
+
+
+@PROPERTY
+@given(graphs(max_n=8), st.integers(1, 4), st.data())
+def test_complement_packing_is_tuple_total_domination(g, k, data):
+    # a set of k + j vertices packs the complement iff every vertex has at
+    # least j neighbours of it in G; GraphFacts.lk_bar rests on this
+    s = data.draw(st.integers(0, g.full_mask))
+    j = s.bit_count() - k
+    bar = complement(g)
+    assert is_k_limited_packing(bar, k, s) == all((nb & s).bit_count() >= j for nb in g.adj)
+    assert GraphFacts(g).lk_bar(k) == limited_packing_oracle(bar, k).value
 
 
 @st.composite
