@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from array import array
 from functools import cache
-from itertools import product
+from itertools import islice, product
 from typing import Iterator
 
 from .graphs import (_EDGE_PAIRS, GRAPH6_LINE_LIMIT, Graph, GraphFormatError,
@@ -124,7 +124,7 @@ def enumerate_labeled_trees(n: int) -> Iterator[Graph]:
 
 
 # rooted-tree code -> small int; one entry per rooted tree class keyed so far
-_ROOTED_CODES: dict[tuple[int, ...], int] = {}
+_ROOTED_CODES: dict[tuple[int, ...], int] = {(): 0}
 
 
 def tree_canonical_key(n: int, adj_lists: list[list[int]]) -> tuple[int, ...]:
@@ -133,49 +133,64 @@ def tree_canonical_key(n: int, adj_lists: list[list[int]]) -> tuple[int, ...]:
     One layered leaf peel to the centre (Aho, Hopcroft & Ullman 1974): a
     peeled vertex's code is the sorted tuple of its children's codes, interned
     to a small int in a table shared by the process, so keys compare only
-    within one process.  The key is the sorted tuple of the one or two centre
-    codes; the null tree's is ().  Raises ValueError unless the input is a
-    tree, in O(n): m != n - 1 before peeling, else a cycle or a second
-    component when the peel stalls.
+    within one process.  A leaf's code is 0, so a vertex lists only its other
+    children's codes and counts its leaf children from its degree; a peeled
+    vertex gets degree 0.  The key is the sorted tuple of the one or two
+    centre codes, the last layer's; the null tree's is ().  Raises ValueError
+    unless the input is a tree, in O(n): m != n - 1 before peeling, else a
+    cycle or a second component when the peel stalls.
     """
-    if n == 0:
-        return ()
-    ends = sum(map(len, adj_lists))
-    if ends != 2 * (n - 1):
+    degree = list(map(len, adj_lists))
+    ends = sum(degree)
+    if n and ends != 2 * (n - 1):
         raise ValueError(f"not a tree: {ends / 2:g} edges on {n} vertices, "
                          f"where a tree has {n - 1}")
-    codes = _ROOTED_CODES
-    degree = [len(a) for a in adj_lists]
-    kids: list[list[int]] = [[] for _ in range(n)]
-    peeled = [False] * n
-    layer = [v for v in range(n) if degree[v] == 1]
-    alive = n
-    while alive > 2:
-        if not layer:
-            raise ValueError(f"not a tree: the leaf peel stalls with {alive} vertices left, "
-                             "so it has a cycle")
-        alive -= len(layer)
-        nxt = []
-        for v in layer:
+    if n < 3:
+        return (0,) * n
+    more: list[tuple[int, ...]] = [()] * n
+    alive = n - degree.count(1)
+    layer = []
+    for v, a in enumerate(adj_lists):
+        if len(a) == 1:
             if degree[v] != 1:
                 # its last neighbour went earlier in this layer: a component of its own
                 raise ValueError("not a tree: it is disconnected")
-            peeled[v] = True
-            below = kids[v]
-            below.sort()
-            shape = tuple(below)
-            code = codes.get(shape)
-            if code is None:
-                code = codes[shape] = len(codes)
+            degree[v] = 0
+            u = a[0]
+            degree[u] -= 1
+            if degree[u] == 1:
+                layer.append(u)
+    while True:
+        if not layer:
+            raise ValueError(f"not a tree: the leaf peel stalls with {alive} vertices left, "
+                             "so it has a cycle")
+        centres = alive <= 2
+        alive -= len(layer)
+        nxt = []
+        for v in layer:
+            below = more[v]
+            kids = len(adj_lists[v]) - degree[v]
+            if below:
+                shape = (0,) * (kids - len(below)) + tuple(sorted(below))
+            else:
+                shape = (0,) * kids
+            code = _ROOTED_CODES.setdefault(shape, len(_ROOTED_CODES))
+            if centres:
+                nxt.append(code)
+                continue
+            if degree[v] != 1:
+                raise ValueError("not a tree: it is disconnected")
+            degree[v] = 0
             for u in adj_lists[v]:
-                if not peeled[u]:
-                    kids[u].append(code)
-                    degree[u] -= 1
-                    if degree[u] == 1:
-                        nxt.append(u)
+                if degree[u]:
+                    break
+            more[u] += (code,)
+            degree[u] -= 1
+            if degree[u] == 1:
+                nxt.append(u)
+        if centres:
+            return tuple(sorted(nxt))
         layer = nxt
-    return tuple(sorted(codes.setdefault(tuple(sorted(kids[v])), len(codes))
-                        for v in range(n) if not peeled[v]))
 
 
 @cache
@@ -242,6 +257,27 @@ def graph_canonical_tree_key(g: Graph) -> tuple[int, ...]:
     return tree_canonical_key(g.n, adj_lists)
 
 
+def tree_classes_by_order(n: int) -> Iterator[list[Graph]]:
+    """The enumerate_tree_classes lists of orders 1..n, each as soon as it is built."""
+    if n < 1:
+        raise ValueError("tree classes need n >= 1")
+    reps = [Graph.empty(1)]
+    yield reps
+    for size in range(2, n + 1):
+        nxt: dict[tuple[int, ...], Graph] = {}
+        for g in reps:
+            for v in range(g.n):
+                adj = list(g.adj)
+                adj[v] |= 1 << (size - 1)
+                adj.append(1 << v)
+                grown = Graph._trusted(size, adj)
+                key = graph_canonical_tree_key(grown)
+                if key not in nxt:
+                    nxt[key] = grown
+        reps = list(nxt.values())
+        yield reps
+
+
 def enumerate_tree_classes(n: int) -> list[Graph]:
     """One representative per isomorphism class of trees of order n.
 
@@ -252,23 +288,7 @@ def enumerate_tree_classes(n: int) -> list[Graph]:
     depends only on which trees are isomorphic, not on the interned codes,
     which depend on what the process keyed before.
     """
-    if n < 1:
-        raise ValueError("tree classes need n >= 1")
-    k1 = Graph.empty(1)
-    reps = {graph_canonical_tree_key(k1): k1}
-    for size in range(2, n + 1):
-        nxt: dict[tuple[int, ...], Graph] = {}
-        for g in reps.values():
-            for v in range(g.n):
-                adj = list(g.adj)
-                adj[v] |= 1 << (size - 1)
-                adj.append(1 << v)
-                grown = Graph._trusted(size, adj)
-                key = graph_canonical_tree_key(grown)
-                if key not in nxt:
-                    nxt[key] = grown
-        reps = nxt
-    return list(reps.values())
+    return list(tree_classes_by_order(n))[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +341,8 @@ class Corpus:
                 for order in range(1, args + 1):
                     yield from enumerate_labeled_graphs(order)
             elif kind == "trees":
-                for order in range(2, args + 1):
-                    yield from enumerate_tree_classes(order)
+                for reps in islice(tree_classes_by_order(args), 1, None):
+                    yield from reps
             elif kind == "random_connected":
                 lo, hi, count, seed, prob = args
                 # orders are cycled lo..hi, so the first count % span get one more

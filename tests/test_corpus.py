@@ -163,6 +163,61 @@ def test_tree_key_partition_matches_string_ahu():
         assert len(set(keys)) == len(set(references)) == len(pairs) == TREE_CLASS_COUNTS[n]
 
 
+def shuffled_adjacency(g: Graph, rng: random.Random) -> list[list[int]]:
+    """Neighbour lists of g under a random relabeling, each in random order."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges():
+        adj[perm[u]].append(perm[v])
+        adj[perm[v]].append(perm[u])
+    for nbrs in adj:
+        rng.shuffle(nbrs)
+    return adj
+
+
+def test_tree_key_matches_string_ahu_on_relabeled_classes():
+    # every tree class to order 13, three relabelings each: one key per class,
+    # distinct within and across orders
+    rng = random.Random(1701)
+    counts = {**TREE_CLASS_COUNTS, 11: 235, 12: 551, 13: 1301}
+    every_key = set()
+    for n in range(1, 14):
+        keys, references = set(), set()
+        for rep in enumerate_tree_classes(n):
+            seen = set()
+            for _ in range(3):
+                adj = shuffled_adjacency(rep, rng)
+                seen.add((tree_canonical_key(n, adj), string_ahu_key(n, adj)))
+            assert len(seen) == 1, emit_graph6(rep)
+            (key, reference), = seen
+            keys.add(key)
+            references.add(reference)
+        assert len(keys) == len(references) == counts[n]
+        every_key |= keys
+    assert len(every_key) == sum(counts.values())
+
+
+def test_tree_key_rejects_exactly_the_disconnected():
+    # n - 1 edges make a tree exactly when they connect all n vertices
+    rng = random.Random(1702)
+    outcomes = {True: 0, False: 0}
+    for n in range(3, 13):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for _ in range(150):
+            g = Graph.from_edges(n, rng.sample(pairs, n - 1))
+            adj = shuffled_adjacency(g, rng)
+            connected = profile(g).connected
+            outcomes[connected] += 1
+            if connected:
+                assert tree_canonical_key(n, adj) == graph_canonical_tree_key(g)
+            else:
+                with pytest.raises(ValueError,
+                                   match="not a tree: (it is disconnected|the leaf peel stalls)"):
+                    tree_canonical_key(n, adj)
+    assert min(outcomes.values()) > 300
+
+
 def test_tree_classes_independent_of_key(monkeypatch):
     # representatives and their order depend only on the partition the key induces
     ours = {n: [emit_graph6(g) for g in enumerate_tree_classes(n)] for n in TREE_CLASS_COUNTS}
@@ -365,6 +420,13 @@ def test_corpus_labeled_plus_trees():
     assert len(graphs) == (1 + 2 + 8) + (1 + 1 + 2 + 3)
     assert [g.n for g in graphs] == sorted(g.n for g in graphs[:11]) + [2, 3, 4, 4, 5, 5, 5]
     assert corpus.spec == "all_labeled(3)+trees(<=5)"
+
+
+def test_corpus_trees_in_one_pass_match_per_order_classes():
+    # one incremental build over the orders yields each order's enumerate_tree_classes
+    expected = [emit_graph6(g) for n in range(2, 11) for g in enumerate_tree_classes(n)]
+    assert [emit_graph6(g) for g in parse_corpus_spec("trees(<=10)")] == expected
+    assert len(expected) == sum(TREE_CLASS_COUNTS[n] for n in range(2, 11))
 
 
 def test_corpus_trees_unicode_le():
