@@ -21,7 +21,7 @@ from itertools import islice, product
 from typing import Iterator
 
 from .graphs import (_EDGE_PAIRS, GRAPH6_LINE_LIMIT, Graph, GraphFormatError,
-                     _component_count, bits, parse_graph6)
+                     _reach, bits, parse_graph6)
 
 LABELED_LIMIT = 7
 # the orbit table of order 7 (2^21 masks) is built only for all_labeled(7)
@@ -316,7 +316,7 @@ def random_connected(n: int, count: int, seed: int, edge_prob: float = 0.5,
                 if next(stream) < threshold:
                     mask |= 1 << p
             g = Graph.from_edge_mask(n, mask)
-            if _component_count(g, g.full_mask) == 1:
+            if _reach(g, 0, g.full_mask) == g.full_mask:
                 yield g
                 break
         else:

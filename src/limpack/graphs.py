@@ -116,20 +116,24 @@ class Graph:
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
-        return cls(n, (0,) * n)
+        return cls.from_edges(n, ())
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        adj = [0] * n
+        """Names a bad edge before a bad order; builds no row before the order check."""
+        pairs = []
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {u}-{v} outside 0..{n - 1}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            pairs.append((u, v))
         if not 0 <= n <= MAX_VERTICES:
             raise ValueError(f"order {n} outside 0..{MAX_VERTICES}")
+        adj = [0] * n
+        for u, v in pairs:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         return cls._trusted(n, adj)
 
     @classmethod
@@ -376,13 +380,14 @@ class GraphProfile:
     every_edge_on_triangle: bool
 
 
-def _layers(g: Graph, root: int) -> tuple[int, int]:
+def _layers(g: Graph, root: int) -> tuple[int, int, int]:
     """(eccentricity of root, shortest cycle its breadth-first layers close,
-    or 0).  An edge inside layer d closes a cycle of length at most 2d + 1,
-    and a vertex of layer d + 1 with two neighbours in layer d one of at
-    most 2d + 2; the first layer to close one gives the value.  A root on a
-    shortest cycle closes exactly that one, so the least nonzero value over
-    all roots is the girth (Itai and Rodeh, 1978)."""
+    or 0, the mask of root's component).  An edge inside layer d closes a
+    cycle of length at most 2d + 1, and a vertex of layer d + 1 with two
+    neighbours in layer d one of at most 2d + 2; the first layer to close one
+    gives the value.  A root on a shortest cycle closes exactly that one, so
+    the least nonzero value over all roots is the girth (Itai and Rodeh,
+    1978)."""
     adj = g.adj
     frontier = seen = 1 << root
     depth = cycle = 0
@@ -399,34 +404,29 @@ def _layers(g: Graph, root: int) -> tuple[int, int]:
                 cycle = 2 * depth + 2
         frontier = reach & ~seen
         if not frontier:
-            return depth, cycle
+            return depth, cycle, seen
         seen |= frontier
         depth += 1
 
 
-def _component_count(g: Graph, allowed: int) -> int:
-    count = 0
-    remaining = allowed
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v]
-            nxt &= allowed & ~comp
-            comp |= nxt
-            frontier = nxt
-        remaining &= ~comp
-        count += 1
-    return count
+def _reach(g: Graph, start: int, allowed: int) -> int:
+    """The mask of vertices a flood from start reaches through allowed, which
+    must hold start."""
+    adj = g.adj
+    frontier = seen = 1 << start
+    while frontier:
+        reach = 0
+        for v in bits(frontier):
+            reach |= adj[v]
+        frontier = reach & allowed & ~seen
+        seen |= frontier
+    return seen
 
 
 def is_tree(g: Graph) -> bool:
-    """Connected with n - 1 edges (so not the null graph), in O(n) word
-    operations; profile(g).is_tree reads it."""
-    return g.edge_count() == g.n - 1 and _component_count(g, g.full_mask) == 1
+    """Connected with n - 1 edges (so not the null graph): one flood from
+    vertex 0, in O(n) word operations; profile(g).is_tree reads it."""
+    return g.edge_count() == g.n - 1 and _reach(g, 0, g.full_mask) == g.full_mask
 
 
 def profile(g: Graph) -> GraphProfile:
@@ -434,7 +434,8 @@ def profile(g: Graph) -> GraphProfile:
     test.  K_0 counts as connected, not a tree, with diameter 0 and every
     (no) edge on a triangle; K_1 is a tree with diameter 0.  A forest has
     girth None, and its diameter is None unless it is a tree.  Costs n
-    layered walks (_layers) and about n component counts."""
+    layered walks (_layers), one per root, and one flood (_reach) inside its
+    own component per vertex of degree at least 2."""
     n = g.n
     degs = g.degrees()
     max_deg = max(degs, default=0)
@@ -445,27 +446,23 @@ def profile(g: Graph) -> GraphProfile:
     if n == 0:
         return GraphProfile(True, False, 0, 0, None, 0, None, 0, True)
 
-    full = g.full_mask
-    comp = _component_count(g, full)
-    connected = comp == 1
+    adj = g.adj
     walks = [_layers(g, root) for root in range(n)]
-    diameter = max(ecc for ecc, _ in walks) if connected else None
-    girth = min((cycle for _, cycle in walks if cycle), default=None)
+    connected = walks[0][2] == g.full_mask
+    diameter = max(ecc for ecc, _, _ in walks) if connected else None
+    girth = min((cycle for _, cycle, _ in walks if cycle), default=None)
 
+    # v of degree >= 2 is a cut vertex iff its component minus v falls apart,
+    # that is iff a flood from one neighbour misses part of it; a leaf or an
+    # isolated vertex never is one
     cut = 0
-    for v in range(n):
-        rest = full & ~(1 << v)
-        if rest and _component_count(g, rest) > comp:
-            cut |= 1 << v
+    for v, (_, _, comp) in enumerate(walks):
+        if degs[v] >= 2:
+            rest = comp & ~(1 << v)
+            if _reach(g, (adj[v] & -adj[v]).bit_length() - 1, rest) != rest:
+                cut |= 1 << v
 
-    triangle = True
-    for v in range(n):
-        for u in bits(g.adj[v]):
-            if u > v and not g.adj[v] & g.adj[u]:
-                triangle = False
-                break
-        if not triangle:
-            break
+    triangle = all(row & adj[u] for row in adj for u in bits(row))   # each edge from both ends
 
     return GraphProfile(connected, is_tree(g), max_deg, min_deg, min_nonleaf,
                         diameter, girth, cut, triangle)

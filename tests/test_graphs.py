@@ -174,6 +174,18 @@ def test_from_edges_checks_order_after_edges():
         Graph.from_edges(70, [(3, 3)])
 
 
+def test_builders_bound_the_order_before_allocating():
+    # rows for 2^62 vertices could never be allocated: a builder that allocates
+    # before its order check raises MemoryError, not the order error
+    huge = 1 << 62
+    for build in (Graph.empty, lambda n: Graph.from_edges(n, []),
+                  lambda n: Graph.from_edges(n, [(0, 1), (huge - 1, 5)])):
+        with pytest.raises(ValueError, match=f"order {huge} outside 0..64"):
+            build(huge)
+    with pytest.raises(ValueError, match="loop at vertex 7"):
+        Graph.from_edges(huge, [(0, 1), (7, 7)])
+
+
 # ---------------------------------------------------------------------------
 # graph6 codec
 
@@ -402,6 +414,11 @@ def from_nx(G: nx.Graph) -> Graph:
     return Graph.from_edges(G.number_of_nodes(), G.edges())
 
 
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = rng.sample(range(g.n), g.n)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def assert_walk_matches_networkx(g: Graph) -> None:
     p, G = profile(g), to_nx(g)
     assert p.connected == nx.is_connected(G), g
@@ -409,6 +426,12 @@ def assert_walk_matches_networkx(g: Graph) -> None:
     girth = nx.girth(G)
     assert p.girth == (None if girth == float("inf") else girth), g
     assert set(bits(p.cut_vertices)) == set(nx.articulation_points(G)), g
+    assert p.is_tree == is_tree(g) == nx.is_tree(G), g
+    degrees = [d for _, d in G.degree()]
+    nonleaf = [d for d in degrees if d >= 2]
+    assert (p.max_degree, p.min_degree, p.min_nonleaf_degree) == \
+        (max(degrees), min(degrees), min(nonleaf) if nonleaf else None), g
+    assert p.every_edge_on_triangle == all(set(G[u]) & set(G[v]) for u, v in G.edges()), g
 
 
 def test_profile_walk_matches_networkx_on_classes_up_to_order_6():
@@ -438,6 +461,20 @@ def test_profile_walk_matches_networkx_on_named_graphs():
     for g, girth in named:
         assert profile(g).girth == girth
         assert_walk_matches_networkx(g)
+    # several components, interleaved by a relabeling of the whole union: each
+    # component's connectivity and cut vertices are its own
+    rng = random.Random(1812)
+    parts = [t for n in range(1, 11) for t in enumerate_tree_classes(n)]
+    parts += [Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 13)]
+    parts += [Graph.empty(1)] * 20
+    for _ in range(60):
+        target, union = rng.randint(2, MAX_VERTICES), relabeled(rng.choice(parts), rng)
+        while True:
+            part = relabeled(rng.choice(parts), rng)
+            if union.n + part.n > target:
+                break
+            union = disjoint_union(union, part)
+        assert_walk_matches_networkx(relabeled(union, rng))
 
 
 def test_profile_walk_matches_networkx_on_sparse_random_graphs():
