@@ -13,10 +13,11 @@ sums read the same cache.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
-from .graphs import Graph, GraphProfile, emit_graph6, profile, scan_subsets
+from .extremal import _lk_equals_k
+from .graphs import Graph, GraphProfile, emit_graph6, profile
 from . import solvers
 
 
@@ -286,19 +287,7 @@ class NGReport:
     refinement_upper: int | None  # n+2 when k == 2
 
     def as_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "k": self.k,
-            "n": self.n,
-            "value": self.value,
-            "value_complement": self.value_complement,
-            "total": self.total,
-            "lower_bound": self.lower_bound,
-            "lower_applicable": self.lower_applicable,
-            "upper_bound": self.upper_bound,
-            "case": self.case,
-            "refinement_upper": self.refinement_upper,
-        }
+        return asdict(self)
 
 
 def ng_lower_bound(n: int, k: int) -> tuple[int, bool]:
@@ -343,33 +332,16 @@ def ng_lower_equality_condition(g: Graph, k: int) -> bool:
     one of: (a) some vertex of X is adjacent to the rest of X and some outside
     vertex misses all of X; (b) some outside vertex covers all of X and X has
     an isolated vertex in its induced subgraph; (c) one outside vertex covers
-    all of X and another outside vertex misses all of X.  The scan over X is
-    bounded by graphs.scan_subsets.  With no loops, an outside vertex covers
-    X iff the AND of X's rows is nonempty, and one misses X iff X and the OR
-    of its rows leave a vertex out.
+    all of X and another outside vertex misses all of X.
+
+    That is check_Lk_equals_k on G and on its complement, in one scan.  Once
+    n >= k both terms are at least k, so the sum is 2k iff both equal k; and
+    (a), (b) or (c) holds iff X passes the test on G (a vertex adjacent to the
+    rest of X, or a cover) and on the complement (an isolated vertex, or a
+    miss), since no X of k + 1 >= 2 vertices has both kinds of vertex.
     """
-    n = g.n
-    if n == k:
-        return True
-    if n < k + 1:
-        return False
-    adj = g.adj
     full = g.full_mask
-    for combo in scan_subsets(n, k):
-        x_mask = seen = 0
-        common = full
-        for v in combo:
-            x_mask |= 1 << v
-            seen |= adj[v]
-            common &= adj[v]
-        miss = seen | x_mask != full
-        if common:
-            if miss or any(adj[v] & x_mask == 0 for v in combo):
-                continue
-        elif miss and any((adj[v] & x_mask).bit_count() == k for v in combo):
-            continue
-        return False
-    return True
+    return _lk_equals_k(g.n, k, g.adj, [full ^ cn for cn in g.closed])
 
 
 # ---------------------------------------------------------------------------

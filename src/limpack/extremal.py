@@ -20,28 +20,38 @@ def check_Lk_equals_k(g: Graph, k: int) -> bool:
     """Structural test for L_k(G) == k.
 
     Orders at most k demand n == k exactly; order k+1 demands max degree k;
-    larger graphs demand that every (k+1)-subset either has an internal vertex
-    adjacent to the rest of it or an outside vertex adjacent to all of it
-    (a scan bounded by graphs.scan_subsets).  With no loops, the vertices
+    larger graphs demand that every (k+1)-subset X either has a vertex
+    adjacent to the rest of X or an outside vertex adjacent to all of X (a
+    scan bounded by graphs.scan_subsets).  With no loops, the vertices
     adjacent to all of X are the AND of its rows, and all lie outside X.
+    bounds.ng_lower_equality_condition runs the same scan on G and its
+    complement at once.
     """
+    return _lk_equals_k(g.n, k, g.adj)
+
+
+def _lk_equals_k(n: int, k: int, *families: list[int]) -> bool:
+    """check_Lk_equals_k on each graph of order n whose open rows are one of
+    families, all in one scan that stops at the first subset failing on any."""
     _check_k(k)
-    n = g.n
     if n <= k:
         return n == k
-    adj = g.adj
     if n == k + 1:
-        return max(nb.bit_count() for nb in adj) == k
-    full = g.full_mask
+        return all(max(map(int.bit_count, adj)) == k for adj in families)
+    full = (1 << n) - 1
     for combo in scan_subsets(n, k):
-        x_mask = 0
-        common = full
-        for v in combo:
-            x_mask |= 1 << v
-            common &= adj[v]
-        if common or any((adj[v] & x_mask).bit_count() == k for v in combo):
-            continue
-        return False
+        x_mask = mask_of(combo)
+        for adj in families:
+            common = full
+            for v in combo:
+                common &= adj[v]
+            if common:
+                continue
+            for v in combo:
+                if (adj[v] & x_mask).bit_count() == k:
+                    break
+            else:
+                return False
     return True
 
 

@@ -2,15 +2,16 @@
 
 Two exact routes for the k-limited packing number: branch and bound, which
 handles any graph the package admits, and a subset-enumeration oracle (guarded
-to n <= 24), kept as the independent reference.  The companion parameters
-rho0, gamma and gamma_t go through the same branch-and-bound engine, at every
-order.  All are deterministic: the oracle returns the smallest bitmask among
-maximum solutions, branch and bound the first optimum in its search order.
+to n <= 24), kept as the independent reference.  The companion parameters go
+through branch and bound too, at every order: rho0 through the packing search
+(_Packing), gamma and gamma_t through the cover search (_cover).  All are
+deterministic: the oracle returns the smallest bitmask among maximum
+solutions, branch and bound the first optimum in its search order.
 limited_packing_number's default ("auto") is branch and bound at every order;
-the oracle runs only on request.  The engine's cover sense takes a demand j:
-gamma and gamma_t are its j = 1 case, and j-tuple total domination gives L_k
-of the complement of a sparse graph from the graph's own rows.  GraphFacts
-caches these values for one graph, for the bound panel, the Nordhaus-Gaddum
+the oracle runs only on request.  The cover search takes a demand j: gamma
+and gamma_t are its j = 1 case, and j-tuple total domination gives L_k of the
+complement of a sparse graph from the graph's own rows.  GraphFacts caches
+these values for one graph, for the bound panel, the Nordhaus-Gaddum
 sums and the campaign.
 """
 from __future__ import annotations
@@ -85,95 +86,90 @@ def limited_packing_oracle(g: Graph, k: int) -> SolveResult:
     return SolveResult(best, best_mask, 1 << n, "oracle")
 
 
-def _search(rows: list[int], cap: int, sense: str, limit: int | None = None) -> SolveResult:
-    """Branch and bound over vertex sets S, given symmetric rows (v in rows[u] iff u in rows[v]).
+def _cover(rows: list[int], need: int, limit: int | None = None) -> SolveResult:
+    """The smallest vertex set S meeting every row in at least need vertices,
+    by branch and bound; value n + 1 when no S does.  rows must be symmetric
+    (v in rows[u] iff u in rows[v]).
 
-    sense "max" (packing): the largest S meeting every row in at most cap
-    vertices, by a _Packing over the rows (see there), prepared and solved once.
-
-    sense "min" (cover; cap is the demand j >= 1): the smallest S meeting
-    every row in at least j vertices, value n + 1 when no S does.  With open
-    rows and j = 1 that is a total dominating set, with closed rows a
-    dominating set, and with open rows and larger j a j-tuple total dominating
-    set.  A vertex is needy while its row holds fewer than j members of S, its
-    candidates are the row's vertices not yet chosen or excluded, and its
-    slack is its candidates minus its need.  Each node branches on the needy
-    vertex of least slack (ties by larger need, then by index), choosing each
-    candidate in turn by descending number of needy vertices it serves (ties
-    by index) and excluding it from the later branches; once fewer candidates
-    are left than the need, the later branches are empty and are skipped.  So
-    the first descent is a greedy cover and the first incumbent.  A negative
-    slack kills the node, and the packing lower bound prunes: needy vertices
-    with pairwise disjoint candidate sets, taken greedily by need and then
-    fewest candidates, each need their own members of S (the local form of
-    gamma >= rho).  limit, when given, caps the search: it starts with limit +
-    1 as the incumbent, so the value is the optimum when that is at most
-    limit and limit + 1 otherwise.  At j = 1 there is one layer and every
-    slack is the candidate count less one, so the search is the plain cover
-    search; tests/golden/cover_sparse.json pins its witnesses and node counts.
+    With open rows and need 1 that is a total dominating set, with closed rows
+    a dominating set, and with open rows and a larger need j a j-tuple total
+    dominating set.  A vertex is needy while its row holds fewer than j
+    members of S, its candidates are the row's vertices not yet chosen or
+    excluded, and its slack is its candidates minus its need.  Each node
+    branches on the needy vertex of least slack (ties by larger need, then by
+    index), choosing each candidate in turn by descending number of needy
+    vertices it serves (ties by index) and excluding it from the later
+    branches; once fewer candidates are left than the need, the later
+    branches are empty and are skipped.  So the first descent is a greedy
+    cover and the first incumbent.  A negative slack kills the node, and the
+    packing lower bound prunes: needy vertices with pairwise disjoint
+    candidate sets, taken greedily by need and then fewest candidates, each
+    need their own members of S (the local form of gamma >= rho).  limit,
+    when given, caps the search: it starts with limit + 1 as the incumbent,
+    so the value is the optimum when that is at most limit and limit + 1
+    otherwise.  At j = 1 there is one layer and every slack is the candidate
+    count less one, so the search is the plain cover search;
+    tests/golden/cover_sparse.json pins its witnesses and node counts.
 
     The witness is the first optimum in search order; no valid bound prunes
     it, so the bounds change only nodes_explored.
     """
     n = len(rows)
     nodes = 0
-    if sense == "min":
-        best = n + 1 if limit is None else limit + 1
-        best_mask = 0
-        full = (1 << n) - 1
-        # layer t, bits t*n .. t*n + n - 1 of one int, holds the vertices that
-        # need more than t further members of S.  Choosing x clears x's row in
-        # every layer and moves each layer down one: a neighbour of x needs one less.
-        spread = [sum(row << t * n for t in range(cap)) for row in rows]
-        needs = [(r, (r - 1) * n) for r in range(cap, 0, -1)]  # (need, shift of layer r - 1)
+    best = n + 1 if limit is None else limit + 1
+    best_mask = 0
+    full = (1 << n) - 1
+    # layer t, bits t*n .. t*n + n - 1 of one int, holds the vertices that
+    # need more than t further members of S.  Choosing x clears x's row in
+    # every layer and moves each layer down one: a neighbour of x needs one less.
+    spread = [sum(row << t * n for t in range(need)) for row in rows]
+    needs = [(r, (r - 1) * n) for r in range(need, 0, -1)]  # (need, shift of layer r - 1)
 
-        def cover(chosen: int, chosen_mask: int, layers: int, excluded: int) -> None:
-            nonlocal best, best_mask, nodes
-            nodes += 1
-            if not layers:
-                best, best_mask = chosen, chosen_mask
-                return
-            allowed = ~excluded
-            bound = 0
-            used = 0
-            slack = n
-            above = 0
-            for r, shift in needs:
-                layer = layers >> shift & full
-                cands = sorted((rows[u] & allowed for u in bits(layer & ~above)), key=int.bit_count)
-                above = layer
-                if not cands:
-                    continue
-                if cands[0].bit_count() - r < slack:
-                    slack = cands[0].bit_count() - r
-                    if slack < 0:
-                        return
-                    first = cands[0]
-                for c in cands:
-                    if not c & used:
-                        bound += r
-                        used |= c
-            if chosen + bound >= best:
-                return
-            needy = layers & full
-            for x in sorted(bits(first), key=lambda x: -(rows[x] & needy).bit_count())[:slack + 1]:
-                xm = 1 << x
-                cover(chosen + 1, chosen_mask | xm, layers & ~spread[x] | layers >> n,
-                      excluded | xm)
-                excluded |= xm
+    def cover(chosen: int, chosen_mask: int, layers: int, excluded: int) -> None:
+        nonlocal best, best_mask, nodes
+        nodes += 1
+        if not layers:
+            best, best_mask = chosen, chosen_mask
+            return
+        allowed = ~excluded
+        bound = 0
+        used = 0
+        slack = n
+        above = 0
+        for r, shift in needs:
+            layer = layers >> shift & full
+            cands = sorted((rows[u] & allowed for u in bits(layer & ~above)), key=int.bit_count)
+            above = layer
+            if not cands:
+                continue
+            if cands[0].bit_count() - r < slack:
+                slack = cands[0].bit_count() - r
+                if slack < 0:
+                    return
+                first = cands[0]
+            for c in cands:
+                if not c & used:
+                    bound += r
+                    used |= c
+        if chosen + bound >= best:
+            return
+        needy = layers & full
+        for x in sorted(bits(first), key=lambda x: -(rows[x] & needy).bit_count())[:slack + 1]:
+            xm = 1 << x
+            cover(chosen + 1, chosen_mask | xm, layers & ~spread[x] | layers >> n,
+                  excluded | xm)
+            excluded |= xm
 
-        cover(0, 0, sum(full << t * n for t in range(cap)), 0)
-        return SolveResult(best, best_mask, nodes, "branch-and-bound")
-
-    return _Packing(rows).solve(cap)
+    cover(0, 0, sum(full << t * n for t in range(need)), 0)
+    return SolveResult(best, best_mask, nodes, "branch-and-bound")
 
 
 class _Packing:
-    """_search's packing sense over one row family: the set-up once, then
-    solve(cap) for any number of caps.  GraphFacts keeps one per graph.
+    """The packing search over one family of symmetric rows: the set-up once,
+    then solve(cap) for any number of caps.  GraphFacts keeps one per graph.
 
-    solve(cap) finds the largest S meeting every row in at most cap
-    vertices.  It branches on vertices by descending row size (ties by
+    solve(cap) finds the largest S meeting every row in at most cap vertices,
+    by branch and bound.  It branches on vertices by descending row size (ties by
     index), include before exclude.  Residual capacities track cap minus the
     hits on each row; once one is exhausted, every vertex of that row is
     blocked.  The free vertices are the undecided, unblocked ones, and a
@@ -267,7 +263,7 @@ def limited_packing_bb(g: Graph, k: int) -> SolveResult:
     lexicographically greatest optimum in branching order.
     """
     _check_k(k)
-    return _search(g.closed, k, "max")
+    return _Packing(g.closed).solve(k)
 
 
 def limited_packing_number(g: Graph, k: int, method: str = "auto") -> SolveResult:
@@ -306,19 +302,19 @@ def is_total_dominating_set(g: Graph, mask: int) -> bool:
 
 def open_packing_number(g: Graph) -> SolveResult:
     """Maximum open packing (|N(v) & S| <= 1 for every v)."""
-    return _search(g.adj, 1, "max")
+    return _Packing(g.adj).solve(1)
 
 
 def domination_number(g: Graph) -> SolveResult:
     """Minimum dominating set (closed neighbourhoods of the set cover V)."""
-    return _search(g.closed, 1, "min")
+    return _cover(g.closed, 1)
 
 
 def total_domination_number(g: Graph) -> SolveResult:
     """Minimum total dominating set; undefined when the graph has an isolated vertex."""
     if any(nb == 0 for nb in g.adj):
         raise UndefinedParameterError("total domination undefined: graph has an isolated vertex")
-    return _search(g.adj, 1, "min")
+    return _cover(g.adj, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +415,7 @@ class GraphFacts:
         if value > cap and cap < size:  # not exact, and not known to exceed size
             record = {"search": "tuple-total-domination", "j": j, "cap": size}
             value = self._timed(searches, record,
-                                lambda: _search(self.g.adj, j, "min", size)).value
+                                lambda: _cover(self.g.adj, j, size)).value
             self._tuple[j] = value, size
         return value <= size
 

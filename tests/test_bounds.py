@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from limpack import (Graph, bound_report, check_Lk_equals_k, closed_form,
+from limpack import (Graph, bound_report, check_Lk_equals_k, closed_form, complement,
                      construct_family, limited_packing_oracle, ng_lower_equality_condition,
                      nordhaus_gaddum, open_packing_number, profile,
                      regular_equality_check, small_order_value)
@@ -247,6 +247,14 @@ def test_ng_equality_condition_matches_sums():
                 assert (rep.total == 2 * k) == cond, (g.edges(), k)
 
 
+def test_ng_equality_condition_rejects_k_below_one():
+    for g in (construct_family("path", 3), construct_family("complete", 4), Graph.empty(3),
+              construct_family("cycle", 5)):
+        for k in (0, -1, -3):
+            with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+                ng_lower_equality_condition(g, k)
+
+
 def paley13() -> Graph:
     # self-complementary with diameter 2, so L_1(G) + L_1(complement) == 2
     squares = {x * x % 13 for x in range(1, 13)}
@@ -264,6 +272,8 @@ def test_subset_scans_share_one_budget(monkeypatch):
     monkeypatch.setattr(graphs, "SUBSET_SCAN_LIMIT", 3431)
     with pytest.raises(ValueError, match=r"C\(14, 7\) = 3432.*n = 14, k = 6"):
         check_Lk_equals_k(k14, 6)
+    # one scan for both sides: the complement's side fails on the first subset
+    assert not ng_lower_equality_condition(k14, 6)
     monkeypatch.setattr(graphs, "SUBSET_SCAN_LIMIT", 20)
     with pytest.raises(ValueError, match=r"C\(13, 2\) = 78.*n = 13, k = 1"):
         ng_lower_equality_condition(paley, 1)
@@ -316,7 +326,8 @@ def ng_condition_by_outside_loop(g: Graph, k: int) -> bool:
 
 def test_subset_scans_match_outside_vertex_loops():
     graphs = [g for n in range(1, 7) for g in enumerate_labeled_graphs(n)]
-    graphs += [g for n in range(8, 13) for g in random_connected(n, 40, seed=700 + n)]
+    randoms = [g for n in range(8, 13) for g in random_connected(n, 40, seed=700 + n)]
+    graphs += randoms + [complement(g) for g in randoms]
     verdicts = set()
     for g in graphs:
         for k in (1, 2, 3, 4):
@@ -324,6 +335,7 @@ def test_subset_scans_match_outside_vertex_loops():
             assert lk_eq_k == lk_eq_k_by_outside_loop(g, k), (g.edges(), k)
             ng_eq = ng_lower_equality_condition(g, k)
             assert ng_eq == ng_condition_by_outside_loop(g, k), (g.edges(), k)
+            assert ng_eq == ng_condition_by_outside_loop(complement(g), k), (g.edges(), k)
             verdicts.add((k, "lk-eq-k", lk_eq_k))
             verdicts.add((k, "ng-eq", ng_eq))
     # each scan answers both ways at every k

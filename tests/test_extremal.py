@@ -315,7 +315,8 @@ def test_recognizers_call_no_solver(monkeypatch):
     def refuse(*args):
         raise AssertionError("a structural recognizer called a solver")
 
-    monkeypatch.setattr(solvers, "_search", refuse)
+    monkeypatch.setattr(solvers, "_cover", refuse)
+    monkeypatch.setattr(solvers, "_Packing", refuse)
     monkeypatch.setattr(solvers, "limited_packing_oracle", refuse)
     with pytest.raises(AssertionError):
         open_packing_number(construct_family("path", 3))

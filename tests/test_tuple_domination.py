@@ -15,7 +15,7 @@ import pytest
 from limpack import Graph, complement, construct_family, disjoint_union
 from limpack.corpus import (enumerate_tree_classes, labeled_class, parse_corpus_spec,
                             random_connected)
-from limpack.solvers import GraphFacts, _Packing, _search
+from limpack.solvers import GraphFacts, _Packing, _cover
 
 
 def class_representatives() -> list[Graph]:
@@ -43,14 +43,14 @@ def test_demand_search_matches_brute_force():
         for rows in (g.adj, g.closed):
             for demand in (1, 2, 3):
                 want = brute_cover(rows, demand)
-                res = _search(rows, demand, "min")
+                res = _cover(rows, demand)
                 assert res.value == want, (g, demand)
                 if want <= g.n:
                     assert res.witness.bit_count() == want
                     assert all((row & res.witness).bit_count() >= demand for row in rows)
                 for limit in range(g.n + 1):
                     # a cap returns the optimum when it fits, else limit + 1
-                    got = _search(rows, demand, "min", limit).value
+                    got = _cover(rows, demand, limit).value
                     assert got == (want if want <= limit else limit + 1), (g, demand, limit)
 
 
@@ -59,9 +59,9 @@ def test_demand_bound_sums_needs():
     # with pairwise disjoint candidate pairs need 40 members, so a cap of 30
     # dies at the root (counting 1 per vertex would give only 20)
     rows = construct_family("cycle", 40).adj
-    res = _search(rows, 2, "min", 30)
+    res = _cover(rows, 2, 30)
     assert (res.value, res.nodes_explored) == (31, 1)
-    assert _search(rows, 2, "min").value == 40
+    assert _cover(rows, 2).value == 40
 
 
 def hypercube(d: int) -> Graph:
@@ -174,7 +174,7 @@ def test_tuple_total_domination_matches_milp():
             cases.append((cycles_plus_chords(n, 300 + n, 2, 0), 2))
     for g, demand in cases:
         want = milp(g.adj, demand, float("inf"), 1)
-        got = _search(g.adj, demand, "min").value
+        got = _cover(g.adj, demand).value
         assert got == (g.n + 1 if want is None else want), (g, demand)
         assert min(map(int.bit_count, g.adj)) >= 2
 
