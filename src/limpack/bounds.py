@@ -12,7 +12,6 @@ sums read the same cache.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -84,11 +83,11 @@ class Bound:
     applies, num and den take (n, p, k, aux): the order, the GraphProfile, k,
     and an object whose gamma, l1 and rho0 attributes give the exact companion
     parameters (a solvers.GraphFacts solves each on its first read, so num
-    reads one only once applies holds).  The value is num/den rounded inward,
-    up for lower bounds and down for upper ones; den=None marks an integral
-    bound, and only fractional bounds show their raw rational.  tie is the
-    campaign's positive case: "value" (L_k equals the value), "raw" (L_k
-    equals num/den), or "any" (every substantive check).
+    reads one only once applies holds).  value() is the one rounding: num/den
+    inward, up for lower bounds and down for upper ones; den=None marks an
+    integral bound, and only fractional bounds show their raw rational.  tie
+    is the campaign's positive case: "value" (L_k equals the value), "raw"
+    (L_k equals num/den), or "any" (every substantive check).
     """
     id: str
     direction: str          # "lower" | "upper" | "exact"
@@ -98,7 +97,7 @@ class Bound:
     num: Callable
     den: Callable | None = None
     tie: str = "value"
-    ks: range = range(1, sys.maxsize)   # the k it covers; the panel lists it only there
+    listed: Callable = lambda k: True   # whether it covers k; panel and campaign skip it elsewhere
 
     def value(self, n: int, p: GraphProfile, k: int, aux) -> tuple[int, int, int]:
         """(value, num, den): the bound once its hypothesis holds."""
@@ -139,15 +138,15 @@ _LOWER = (
           lambda n, p, k, a: k >= 3 and p.max_degree >= k and connected(n, p),
           lambda n, p, k, a: p.diameter + k - 2),
     Bound("girth-lower", "lower", "girth finite and k == 1", "th-girth-l1",
-          _has_girth, lambda n, p, k, a: p.girth // 3, ks=range(1, 2)),
+          _has_girth, lambda n, p, k, a: p.girth // 3, listed=lambda k: k == 1),
     Bound("girth-lower", "lower", "girth finite and k == 2", "th-girth-l2-lk",
-          _has_girth, lambda n, p, k, a: 2 * p.girth // 3, ks=range(2, 3)),
+          _has_girth, lambda n, p, k, a: 2 * p.girth // 3, listed=lambda k: k == 2),
     Bound("girth-lower", "lower", "girth finite and max_degree >= k >= 3", "th-girth-l2-lk",
           lambda n, p, k, a: p.girth is not None and p.max_degree >= k,
-          lambda n, p, k, a: p.girth + k - 3, ks=range(3, sys.maxsize)),
+          lambda n, p, k, a: p.girth + k - 3, listed=lambda k: k >= 3),
     Bound("maxdeg-sq-lower", "lower", "k == 1", "lem-l1-maxdeg-lower",
           lambda n, p, k, a: n >= 1, lambda n, p, k, a: n,
-          lambda n, p, k, a: p.max_degree ** 2 + 1, ks=range(1, 2)),
+          lambda n, p, k, a: p.max_degree ** 2 + 1, listed=lambda k: k == 1),
     Bound("chain-lower", "lower", "k >= 2 and max_degree >= k-1, needs exact L_1",
           "lem-monotone-chain",
           lambda n, p, k, a: k >= 2 and p.max_degree >= k - 1,
@@ -264,7 +263,7 @@ def bound_report(g: Graph, k: int, with_exact: bool = False) -> BoundReport:
     """
     solvers._check_k(k)
     f = solvers.GraphFacts(g)
-    entries = tuple(b.entry(g.n, f.profile, k, f) for b in BOUNDS if k in b.ks)
+    entries = tuple(b.entry(g.n, f.profile, k, f) for b in BOUNDS if b.listed(k))
     exact = f.lk(k) if with_exact else None
     return BoundReport(emit_graph6(g), k, g.n, entries, exact)
 

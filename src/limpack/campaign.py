@@ -71,9 +71,9 @@ _BROKEN = {"lower": "<", "upper": ">", "exact": "!="}
 def _derived(citation: str, once_k: int | None = None) -> Evaluator:
     """Evaluator for a statement made of bound-table rows.
 
-    A check is substantive where some row's hypothesis holds, a violation where
-    L_k falls outside a row's value, and positive on a row's tie rule.  once_k
-    fixes k for statements about a single k.
+    A check is substantive where a listed row's hypothesis holds, a violation
+    where L_k breaks the row's Bound.value, the value the panel prints, and
+    positive on the row's tie rule.  once_k fixes k for one-k statements.
     """
     rows = bounds.bounds_for(citation)
     if not rows:
@@ -83,19 +83,14 @@ def _derived(citation: str, once_k: int | None = None) -> Evaluator:
         n, p = f.n, f.profile
         outcome, fails = SKIP, []
         for b in rows:
-            if k not in b.ks or not b.applies(n, p, k, f):
+            if not b.listed(k) or not b.applies(n, p, k, f):
                 continue
-            num = b.num(n, p, k, f)
-            den = 1 if b.den is None else b.den(n, p, k, f)
+            value, num, den = b.value(n, p, k, f)
             lk = f.lk(k)
-            # L_k is an integer, so it breaks a lower bound iff gap < 0, breaks
-            # an upper bound iff gap > 0, and equals the rounded value iff
-            # |gap| < den: no rounding is needed
-            gap = lk * den - num
-            if gap < 0 and b.direction != "upper" or gap > 0 and b.direction != "lower":
+            if lk < value and b.direction != "upper" or lk > value and b.direction != "lower":
                 shown = num if b.den is None else f"{num}/{den}"
                 fails.append(f"L_{k}={lk} {_BROKEN[b.direction]} {b.id}={shown}")
-            elif b.tie == "any" or (gap == 0 if b.tie == "raw" else abs(gap) < den):
+            elif b.tie == "any" or (lk * den == num if b.tie == "raw" else lk == value):
                 outcome = POSITIVE
             elif outcome is SKIP:
                 outcome = PASS
@@ -105,6 +100,7 @@ def _derived(citation: str, once_k: int | None = None) -> Evaluator:
 
 
 (_CHAIN,) = bounds.bounds_for("lem-monotone-chain")
+(_ORDER_DEGREE,) = bounds.bounds_for("th-order-degree-upper")
 (_L1_RATIO,) = bounds.bounds_for("prop-l1-l2-sandwich")
 _CLASS_T = bounds.bounds_for("th-classT-characterization")
 
@@ -223,7 +219,7 @@ def _ev_ng_l2_n_plus_2(f: GraphFacts) -> Outcome:
 
 
 def _ev_class_g(f: GraphFacts) -> Outcome:
-    target = bounds._ORDER_DEGREE.num(f.n, f.profile, 2, f)
+    target = _ORDER_DEGREE.value(f.n, f.profile, 2, f)[0]
     semantic = f.lk(2) == target
     member = recognize_class_G(f.g) is not None
     if semantic != member:
@@ -577,7 +573,8 @@ def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
 
 def replay_violation(theorem_id: str, graph6: str, k: int | None = None,
                      registry: dict[str, Evaluator] | None = None) -> Outcome:
-    """Re-run one evaluator on one graph, standalone from a violation record."""
+    """Re-run one evaluator on one graph, standalone from a violation record;
+    a per-k evaluator needs the record's k, >= 1 as in run_campaign."""
     registry = REGISTRY if registry is None else registry
     if theorem_id not in registry:
         raise ValueError(f"unknown theorem id: {theorem_id}")
@@ -589,4 +586,5 @@ def replay_violation(theorem_id: str, graph6: str, k: int | None = None,
         return ev.fn(facts)
     if k is None:
         raise ValueError(f"{theorem_id} is checked per k; pass the k from the record")
+    solvers._check_k(k)
     return ev.fn(facts, k)

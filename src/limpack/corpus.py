@@ -58,7 +58,7 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     of mask, two on average.  Each graph carries its mask (Graph.edge_mask).
     """
     if not 1 <= n <= LABELED_LIMIT:
-        raise ValueError(f"exhaustive enumeration capped at n <= {LABELED_LIMIT}")
+        raise ValueError(f"exhaustive enumeration needs 1 <= n <= {LABELED_LIMIT}, got {n}")
     # flips[t]: (vertex, row bits) toggled by the positions 0..t together
     flips, rows = [], [0] * n
     for i, j in _EDGE_PAIRS[:n * (n - 1) // 2]:
@@ -116,9 +116,6 @@ def enumerate_labeled_trees(n: int) -> Iterator[Graph]:
     """All n^(n-2) labeled trees of order n (2 <= n <= 10)."""
     if not 2 <= n <= TREE_EXHAUSTIVE_LIMIT:
         raise ValueError(f"exhaustive tree enumeration needs 2 <= n <= {TREE_EXHAUSTIVE_LIMIT}")
-    if n == 2:
-        yield Graph.from_edges(2, [(0, 1)])
-        return
     for seq in product(range(n), repeat=n - 2):
         yield Graph.from_edges(n, prufer_decode(seq, n))
 

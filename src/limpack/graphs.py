@@ -425,7 +425,7 @@ def _reach(g: Graph, start: int, allowed: int) -> int:
 
 def is_tree(g: Graph) -> bool:
     """Connected with n - 1 edges (so not the null graph): one flood from
-    vertex 0, in O(n) word operations; profile(g).is_tree reads it."""
+    vertex 0, in O(n) word operations."""
     return g.edge_count() == g.n - 1 and _reach(g, 0, g.full_mask) == g.full_mask
 
 
@@ -449,6 +449,7 @@ def profile(g: Graph) -> GraphProfile:
     adj = g.adj
     walks = [_layers(g, root) for root in range(n)]
     connected = walks[0][2] == g.full_mask
+    tree = connected and g.edge_count() == n - 1
     diameter = max(ecc for ecc, _, _ in walks) if connected else None
     girth = min((cycle for _, cycle, _ in walks if cycle), default=None)
 
@@ -464,5 +465,5 @@ def profile(g: Graph) -> GraphProfile:
 
     triangle = all(row & adj[u] for row in adj for u in bits(row))   # each edge from both ends
 
-    return GraphProfile(connected, is_tree(g), max_deg, min_deg, min_nonleaf,
+    return GraphProfile(connected, tree, max_deg, min_deg, min_nonleaf,
                         diameter, girth, cut, triangle)

@@ -1,5 +1,6 @@
 """Closed formulas, bound reports, and Nordhaus-Gaddum analysis."""
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -8,8 +9,12 @@ from limpack import (Graph, bound_report, check_Lk_equals_k, closed_form, comple
                      construct_family, limited_packing_oracle, ng_lower_equality_condition,
                      nordhaus_gaddum, open_packing_number, profile,
                      regular_equality_check, small_order_value)
-from limpack.corpus import enumerate_labeled_graphs, random_connected
+from limpack.bounds import bounds_for
+from limpack.campaign import PASS, POSITIVE, REGISTRY, SKIP, Outcome
+from limpack.corpus import (enumerate_labeled_graphs, labeled_class, random_connected,
+                            tree_classes_by_order)
 from limpack.graphs import mask_of
+from limpack.solvers import GraphFacts
 
 
 def petersen() -> Graph:
@@ -204,6 +209,88 @@ def test_report_json_shape_and_determinism():
     assert json.dumps(d) == json.dumps(again.as_dict())
     ids = [e["id"] for e in d["entries"]]
     assert len(ids) == len(set(ids))
+
+
+def test_report_lists_rows_at_every_k():
+    # a row's k-range is a predicate with no largest k: past 2^63 - 1 the
+    # panel lists the rows it lists at any k >= 3
+    for g in (construct_family("path", 5), construct_family("cycle", 6),
+              construct_family("complete", 4)):
+        want = [(e.id, e.applicable) for e in bound_report(g, 65).entries]
+        assert len(want) == 21
+        for k in (2 ** 63 - 1, 2 ** 63, 10 ** 30):
+            assert [(e.id, e.applicable) for e in bound_report(g, k).entries] == want, k
+
+
+# ---------------------------------------------------------------------------
+# the campaign's derived evaluators against the gap rule they replaced
+
+_BROKEN = {"lower": "<", "upper": ">", "exact": "!="}
+
+
+def derived_by_gap(citation: str, f, k: int) -> Outcome:
+    """A derived evaluator that never rounds: L_k is an integer, so it breaks a
+    lower bound iff gap = L_k*den - num < 0, breaks an upper bound iff gap > 0,
+    and equals the rounded value iff |gap| < den."""
+    n, p = f.n, f.profile
+    outcome, fails = SKIP, []
+    for b in bounds_for(citation):
+        if not b.listed(k) or not b.applies(n, p, k, f):
+            continue
+        num = b.num(n, p, k, f)
+        den = 1 if b.den is None else b.den(n, p, k, f)
+        lk = f.lk(k)
+        gap = lk * den - num
+        if gap < 0 and b.direction != "upper" or gap > 0 and b.direction != "lower":
+            shown = num if b.den is None else f"{num}/{den}"
+            fails.append(f"L_{k}={lk} {_BROKEN[b.direction]} {b.id}={shown}")
+        elif b.tie == "any" or (gap == 0 if b.tie == "raw" else abs(gap) < den):
+            outcome = POSITIVE
+        elif outcome is SKIP:
+            outcome = PASS
+    return Outcome(True, False, "; ".join(fails)) if fails else outcome
+
+
+class ShiftedFacts:
+    """GraphFacts with every L_k moved by shift, so that rows break and tie."""
+
+    def __init__(self, facts: GraphFacts, shift: int):
+        self.facts, self.shift = facts, shift
+
+    def __getattr__(self, name):
+        return getattr(self.facts, name)
+
+    def lk(self, k: int) -> int:
+        return self.facts.lk(k) + self.shift
+
+
+def test_derived_evaluators_match_gap_rule():
+    derived = {tid: ev for tid, ev in REGISTRY.items()
+               if ev.fn is not None and ev.fn.__qualname__.startswith("_derived.")}
+    assert len(derived) == 18
+    classes = {}
+    for n in range(1, 7):
+        for g in enumerate_labeled_graphs(n):
+            classes.setdefault(labeled_class(g), g)
+    assert len(classes) == 208
+    graphs = list(classes.values())
+    graphs += [t for reps in tree_classes_by_order(10) for t in reps]
+    rng = random.Random(2020)
+    for _ in range(200):
+        n, prob = rng.randint(2, 16), rng.random()
+        graphs.append(Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2)
+                                           if rng.random() < prob]))
+    for g in graphs:
+        facts = GraphFacts(g)
+        for shift in (0, -1, 1):
+            f = ShiftedFacts(facts, shift)
+            for tid, ev in derived.items():
+                if ev.kind == "once":
+                    (k,) = ev.fn.__defaults__
+                    assert ev.fn(f) == derived_by_gap(tid, f, k), (tid, g, shift)
+                    continue
+                for k in range(1, 6):
+                    assert ev.fn(f, k) == derived_by_gap(tid, f, k), (tid, g, k, shift)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,20 @@ def test_replay_violation_real_id():
         replay_violation("lem-kgamma", "BW")             # per-k id needs k
 
 
+def test_replay_violation_rejects_k_below_one():
+    for tid in ("lem-kgamma", "th-girth-l2-lk", "lem-monotone-chain"):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=rf"^k must be >= 1, got {k}$"):
+                replay_violation(tid, "DhC", k)
+
+
+def test_huge_k_is_checked():
+    # a bound row covers every k, also past 2^63 - 1
+    path5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    v = run_campaign(["prop-small-order"], [path5], [2 ** 63]).verdicts[0]
+    assert (v.status, v.substantive_checks, v.positive_cases) == ("pass", 1, 1)
+
+
 def test_run_campaign_validation():
     corpus = parse_corpus_spec("all_labeled(2)")
     with pytest.raises(ValueError):

@@ -35,6 +35,9 @@ def test_labeled_graph_counts():
 def test_labeled_graph_limit():
     with pytest.raises(ValueError):
         next(enumerate_labeled_graphs(8))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=rf"needs 1 <= n <= 7, got {n}$"):
+            next(enumerate_labeled_graphs(n))
     g = next(islice(enumerate_labeled_graphs(7), 1, 2))
     assert g.n == 7 and g.edge_count() == 1
 
