@@ -12,7 +12,7 @@ sums read the same cache.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 from .extremal import _lk_equals_k
@@ -24,22 +24,14 @@ from . import solvers
 class BoundEntry:
     id: str
     direction: str          # "lower" | "upper" | "exact"
-    value: int | None
     applicable: bool
+    value: int | None
+    raw: str | None         # untruncated rational, when the bound is fractional
     hypothesis: str
     citation: str           # theorem-registry id backing the entry
-    raw: str | None = None  # untruncated rational, when the bound is fractional
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "direction": self.direction,
-            "applicable": self.applicable,
-            "value": self.value,
-            "raw": self.raw,
-            "hypothesis": self.hypothesis,
-            "citation": self.citation,
-        }
+        return self.__dict__.copy()  # a copy: the record is frozen, the dict is the caller's
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +99,11 @@ class Bound:
 
     def entry(self, n: int, p: GraphProfile, k: int, aux) -> BoundEntry:
         if not self.applies(n, p, k, aux):
-            return BoundEntry(self.id, self.direction, None, False, self.hypothesis, self.citation)
+            return BoundEntry(self.id, self.direction, False, None, None, self.hypothesis,
+                              self.citation)
         value, num, den = self.value(n, p, k, aux)
-        return BoundEntry(self.id, self.direction, value, True, self.hypothesis,
-                          self.citation, None if self.den is None else f"{num}/{den}")
+        raw = None if self.den is None else f"{num}/{den}"
+        return BoundEntry(self.id, self.direction, True, value, raw, self.hypothesis, self.citation)
 
 
 def connected(n: int, p: GraphProfile) -> bool:
@@ -286,7 +279,7 @@ class NGReport:
     refinement_upper: int | None  # n+2 when k == 2
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self.__dict__.copy()
 
 
 def ng_lower_bound(n: int, k: int) -> tuple[int, bool]:
@@ -369,6 +362,7 @@ def regular_half(n: int, p: GraphProfile, k: int, lk: Callable[[int], int]) -> b
 
 
 def regular_equality_check(g: Graph, k: int) -> RegularEqualityResult:
+    solvers._check_k(k)
     n, p = g.n, profile(g)
     verdict = regular_half(n, p, k, solvers.GraphFacts(g).lk)
     regular = n >= 1 and p.min_degree == p.max_degree

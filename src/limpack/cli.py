@@ -2,7 +2,10 @@
 
 Graphs are given as graph6 text or @path (a file holding one graph6 line or an
 edge list whose first line is "n m").  All structured output is JSON with a
-fixed key order so repeated runs are byte-identical.
+fixed key order so repeated runs are byte-identical.  A record printed from a
+dataclass (BoundEntry, NGReport, GraphProfile, SpiderShape) is read off its
+__dict__, so its field order is the key order; none has a cached_property or
+__slots__, which would change or break __dict__.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import time
 from . import bounds as bounds_mod
 from . import solvers
 from .campaign import ALL_THEOREM_IDS, run_campaign
-from .corpus import parse_corpus_spec, parse_number
+from .corpus import RejectionBudgetError, parse_corpus_spec, parse_number
 from .extremal import (build_from_spec, check_Lk_equals_k,
                        is_spider_below_max_degree, recognize_class_G,
                        recognize_class_T, recognize_spider)
@@ -77,23 +80,15 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _timed_solve(solve) -> tuple[solvers.SolveResult, dict]:
-    """solve() and its {method, nodes_explored, elapsed_s} record for --stats."""
-    t0 = time.perf_counter()
-    res = solve()
-    elapsed = time.perf_counter() - t0
-    return res, {"method": res.method, "nodes_explored": res.nodes_explored,
-                 "elapsed_s": round(elapsed, 6)}
-
-
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
-    res, stats = _timed_solve(lambda: solvers.limited_packing_number(g, args.k, method=args.method))
+    res, record = solvers.timed(
+        lambda: solvers.limited_packing_number(g, args.k, method=args.method))
     print(res.value)
     if args.witness:
         print(" ".join(str(v) for v in res.witness_vertices()))
     if args.stats:
-        print(json.dumps(stats), file=sys.stderr)
+        print(json.dumps({"method": res.method, **record}), file=sys.stderr)
     return 0
 
 
@@ -111,8 +106,8 @@ def cmd_params(args) -> int:
     values, stats = {}, {}
     for name, solve in solves.items():
         try:
-            res, stats[name] = _timed_solve(solve)
-            values[name] = res.value
+            res, record = solvers.timed(solve)
+            values[name], stats[name] = res.value, {"method": res.method, **record}
         except solvers.UndefinedParameterError:  # gamma_t with an isolated vertex
             values[name] = stats[name] = None
     _emit({
@@ -120,17 +115,7 @@ def cmd_params(args) -> int:
         "n": g.n,
         "m": g.edge_count(),
         **values,
-        "profile": {
-            "connected": p.connected,
-            "is_tree": p.is_tree,
-            "max_degree": p.max_degree,
-            "min_degree": p.min_degree,
-            "min_nonleaf_degree": p.min_nonleaf_degree,
-            "diameter": p.diameter,
-            "girth": p.girth,
-            "cut_vertices": list(bits(p.cut_vertices)),
-            "every_edge_on_triangle": p.every_edge_on_triangle,
-        },
+        "profile": {**vars(p), "cut_vertices": list(bits(p.cut_vertices))},
     })
     if args.stats:
         print(json.dumps(stats), file=sys.stderr)
@@ -167,8 +152,7 @@ def cmd_recognize(args) -> int:
             shape = recognize_spider(g)
             member = shape is not None
             if shape is not None:
-                witness = {"center": shape.center, "t": shape.t, "s": shape.s,
-                           "below_max_degree": is_spider_below_max_degree(g)}
+                witness = {**vars(shape), "below_max_degree": is_spider_below_max_degree(g)}
     elif family == "classT":
         if is_tree(g) and g.n >= 2:
             w = recognize_class_T(g)
@@ -303,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RejectionBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

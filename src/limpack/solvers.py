@@ -53,6 +53,13 @@ def is_k_limited_packing(g: Graph, k: int, mask: int) -> bool:
     return True
 
 
+def timed(solve) -> tuple[SolveResult, dict]:
+    """solve() and its stats record {nodes_explored, elapsed_s}, seconds to 6 places."""
+    t0 = perf_counter()
+    res = solve()
+    return res, {"nodes_explored": res.nodes_explored, "elapsed_s": round(perf_counter() - t0, 6)}
+
+
 def _check_k(k: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -422,11 +429,8 @@ class GraphFacts:
     def _timed(self, searches: list[dict], record: dict, solve) -> SolveResult:
         if self.log is None:
             return solve()
-        t0 = perf_counter()
-        res = solve()
-        record.update(nodes_explored=res.nodes_explored,
-                      elapsed_s=round(perf_counter() - t0, 6))
-        searches.append(record)
+        res, stats = timed(solve)
+        searches.append({**record, **stats})
         return res
 
     @cached_property

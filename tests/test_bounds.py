@@ -74,6 +74,16 @@ def test_closed_form_errors():
         closed_form("path", 3, 0)
 
 
+@pytest.mark.parametrize("family, params, message", [
+    ("path", 0, "path needs n >= 1"),
+    ("complete", 0, "complete graph needs n >= 1"),
+    ("complete_bipartite", (0, 2), "complete bipartite graph needs both parts >= 1"),
+])
+def test_closed_form_rejects_empty_orders(family, params, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        closed_form(family, params, 2)
+
+
 def test_small_order_value():
     assert small_order_value(construct_family("complete", 3), 3) == 3
     assert small_order_value(construct_family("path", 4), 3) == 4     # max degree 2 != 3
@@ -340,6 +350,14 @@ def test_ng_equality_condition_rejects_k_below_one():
         for k in (0, -1, -3):
             with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
                 ng_lower_equality_condition(g, k)
+
+
+def test_regular_equality_check_rejects_k_below_one():
+    # the answer no longer depends on the graph: P_3 used to pass vacuously
+    for g in (construct_family("path", 3), construct_family("cycle", 5), Graph.empty(0)):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+                regular_equality_check(g, k)
 
 
 def paley13() -> Graph:

@@ -5,7 +5,7 @@ import pytest
 
 import limpack.bounds as bounds_mod
 import limpack.campaign as campaign_mod
-from limpack import Graph, emit_graph6, profile
+from limpack import Graph, build_from_spec, emit_graph6, profile
 from limpack.campaign import (ALL_THEOREM_IDS, REGISTRY, SKIP, Evaluator, GraphFacts,
                               Outcome, replay_violation, run_campaign)
 from limpack.corpus import labeled_class, parse_corpus_spec
@@ -405,3 +405,70 @@ def test_repeated_rows_without_class_key_match_graph_by_graph():
         sorted([emit_graph6(g)] * 2 + [emit_graph6(relabeled)])
     assert {v["k"] for v in planted.violations} == {2}
     assert (report.graphs, report.classes_evaluated) == (4, 4)
+
+
+# ---------------------------------------------------------------------------
+# each hand-written evaluator's violation branch, reached by one planted fact
+
+def _planted(spec: str, lk=None, lk_bar=None, **values) -> GraphFacts:
+    """GraphFacts of a built graph with some values set before any is solved:
+    lk and lk_bar seed the per-k caches, values the cached gamma, rho0 or gamma_t."""
+    f = GraphFacts(build_from_spec(spec))
+    f._lk.update(lk or {})
+    f._lk_bar.update(lk_bar or {})
+    f.__dict__.update(values)
+    return f
+
+
+PLANTED = [  # id, graph, k (None: a once evaluator), planted facts, violation detail
+    ("lem-monotone-chain", "path:3", 1, {"lk": {2: 1}}, "L_2=1 < L_1+1=2"),
+    ("lem-monotone-chain", "path:3", 2, {"lk": {2: 1}}, "L_2=1 < L_1+k-1=2"),
+    ("th-lk-eq-k-characterization", "cycle:5", 2, {"lk": {2: 2}},
+     "L_2=2 but structural test says False"),
+    ("cor-diam-le-2", "path:4", 1, {"lk": {1: 1}}, "L_1=k on order 4 but diameter=3"),
+    ("cor-regular-half", "cycle:5", 1, {"lk": {1: 3}},
+     "2-regular with L_1=n+k-1-d but 2d=4 < n=5"),
+    ("prop-ng-lower", "path:3", 2, {"lk": {2: 1}, "lk_bar": {2: 1}},
+     "L_2(G)+L_2(complement)=2 < 2k=4"),
+    ("prop-ng-lower", "path:3", 1, {"lk_bar": {1: 1}},
+     "sum=2 vs 2k=2, structural equality condition=False"),
+    ("th-ng-upper", "path:3", 2, {"lk": {2: 3}}, "L_2(G)+L_2(complement)=6 > mixed bound=5"),
+    ("lem-ng-l2-n-plus-2", "path:3", None, {"lk": {2: 3}}, "L_2(G)+L_2(complement)=6 > n+2=5"),
+    ("lem-l1-eq-1-iff-diam2", "path:3", None, {"lk": {1: 2}}, "L_1=2 but diameter=2"),
+    ("lem-open-packing-diam2", "path:3", None, {"rho0": 3}, "rho0=3 > 2 at diameter=2"),
+    ("lem-rho-eq-gammat-trees", "path:3", None, {"rho0": 3}, "tree with rho0=3 != gamma_t=2"),
+    ("lem-l1-eq-gamma-trees", "path:3", None, {"gamma": 2}, "tree with L_1=1 != gamma=2"),
+    ("cor-classG", "path:3", None, {"lk": {2: 3}}, "L_2=3 vs n+1-max_degree=2, witness found"),
+    ("prop-l1-l2-sandwich", "path:3", None, {"lk": {2: 1}}, "L_2=1 < L_1+1=2"),
+    ("prop-l1-l2-sandwich", "path:3", None, {"lk": {2: 6}},
+     "L_2=6 exceeds 2(max_degree^2+1)L_1/(min_degree+1)=10/2"),
+    ("th-spider-characterization", "path:5", None, {"lk": {2: 5}},
+     "L_2=5 outside [L_1+1, 2L_1]=[3, 4]"),
+    ("th-spider-characterization", "path:4", None, {"lk": {2: 4}},
+     "L_2-L_1=2 but spider-below-max-degree=True"),
+    ("th-spider-characterization", "path:4", None, {"lk": {2: 5}},
+     "L_2=5 outside [L_1+1, 2L_1]=[3, 4]; L_2-L_1=3 but spider-below-max-degree=True"),
+    ("th-classT-characterization", "path:4", None, {"lk": {2: 5}},
+     "L_2=5 outside [rho0, 2*rho0]=[2, 4]"),
+    ("th-classT-characterization", "path:3", None, {"lk": {2: 3}},
+     "rho0=2, L_2=3 but witness found"),
+    ("th-classT-characterization", "path:3", None, {"lk": {2: 5}},
+     "L_2=5 outside [rho0, 2*rho0]=[2, 4]; rho0=2, L_2=5 but witness found"),
+]
+
+
+@pytest.mark.parametrize("tid, spec, k, planted, detail", PLANTED)
+def test_planted_fact_reaches_violation_branch(tid, spec, k, planted, detail):
+    # a campaign finds a bug only through these branches: one wrong solver value
+    # must surface as a substantive outcome with its detail
+    evaluate = REGISTRY[tid].fn
+    args = () if k is None else (k,)
+    assert evaluate(_planted(spec), *args).detail is None
+    out = evaluate(_planted(spec, **planted), *args)
+    assert out.substantive and out.detail == detail
+
+
+def test_planted_cases_cover_every_hand_written_evaluator():
+    hand_written = {tid for tid, ev in REGISTRY.items()
+                    if ev.kind != "standalone" and ev.fn.__name__.startswith("_ev_")}
+    assert {case[0] for case in PLANTED} == hand_written

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from limpack import build_from_spec, cli, emit_graph6
+from limpack import build_from_spec, campaign, cli, emit_graph6
 from limpack.cli import main
 from limpack.graphs import EDGE_LIST_LIMIT
 
@@ -490,3 +490,66 @@ def test_parser_not_built_at_import():
                       "print(limpack.cli._build_parser.cache_info().misses)\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"
+
+
+# ---------------------------------------------------------------------------
+# paths no other test reaches
+
+def test_recognize_spider_witness(capsys):
+    # README's example: a centre with three legs of length two and two leaves
+    rc, out, err = run(capsys, "recognize", "--graph", "HkE?KA?", "--family", "spider")
+    assert rc == 0 and err == ""
+    data = json.loads(out)
+    assert data["member"] is True
+    assert data["witness"] == {"center": 0, "t": 3, "s": 2, "below_max_degree": True}
+    assert list(data["witness"]) == ["center", "t", "s", "below_max_degree"]
+
+
+def test_verify_prints_violations(capsys, monkeypatch):
+    planted = campaign.Evaluator("once", fn=lambda f: campaign._bad(f"planted on order {f.n}"))
+    monkeypatch.setitem(campaign.REGISTRY, "lem-kgamma", planted)
+    rc, out, err = run(capsys, "verify", "--theorems", "lem-kgamma",
+                       "--corpus", "trees(<=7)", "--k", "1")
+    assert rc == 1 and err == ""
+    assert out.splitlines() == [
+        "lem-kgamma: fail (graphs=24, substantive=24, positives=0, violations=24)",
+        "  violation: graph6=A_ k=None: planted on order 2",
+        "  violation: graph6=Bo k=None: planted on order 3",
+        "  violation: graph6=Cq k=None: planted on order 4",
+        "  violation: graph6=Cs k=None: planted on order 4",
+        "  violation: graph6=DqG k=None: planted on order 5",
+        "  ... 19 more violations",
+    ]
+
+
+def test_rejection_budget_exits_2(capsys):
+    # no connected graph is drawn at this p: a bad input, not a violation
+    rc, out, err = run(capsys, "verify", "--theorems", "lem-kgamma",
+                       "--corpus", "random_connected(n=6..6,1,seed=1,p=0.0001)", "--k", "1")
+    assert rc == 2 and out == ""
+    assert err == "error: no connected graph on 6 vertices in 10000 draws at p=0.0001\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--theorems", "lem-kgamma", "--corpus", "trees(3)", "--k", "3..1"],
+     "empty k range '3..1'"),
+    (["verify", "--theorems", ",", "--corpus", "trees(3)", "--k", "1"],
+     "no theorem ids given"),
+])
+def test_empty_argument_lists_exit_2(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_empty_graph_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "blank.txt"
+    path.write_text("\n  \n\n")
+    rc, out, err = run(capsys, "params", "--graph", f"@{path}")
+    assert (rc, out, err) == (2, "", "error: graph file is empty (byte 0)\n")
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    proc = run_python("import runpy, sys\n"
+                      "sys.argv = ['limpack', 'solve', '--graph', 'DhC', '--k', '2']\n"
+                      "runpy.run_module('limpack', run_name='__main__', alter_sys=True)\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "4\n", "")

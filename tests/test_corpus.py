@@ -1,6 +1,7 @@
 """Graph enumeration, deterministic RNG, and corpus-spec parsing."""
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -16,7 +17,8 @@ from limpack.corpus import (RejectionBudgetError,
                             enumerate_labeled_graphs, enumerate_labeled_trees,
                             enumerate_tree_classes, graph_canonical_tree_key,
                             labeled_class, parse_corpus_spec, prufer_decode,
-                            random_connected, splitmix64, tree_canonical_key)
+                            random_connected, splitmix64, tree_canonical_key,
+                            tree_classes_by_order)
 from limpack.graphs import GRAPH6_LINE_LIMIT
 
 LABELED_COUNTS = {1: 1, 2: 2, 3: 8, 4: 64, 5: 1024, 6: 32768}
@@ -385,6 +387,17 @@ def test_splitmix64_reference_vectors():
     assert next(gen) == 16294208416658607535
     assert next(gen) == 7960286522194355700
     assert next(gen) == 487617019471545679
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: next(tree_classes_by_order(0)), "tree classes need n >= 1"),
+    (lambda: next(random_connected(5, 1, 1, edge_prob=0)), "edge_prob must be in (0, 1]"),
+    (lambda: parse_corpus_spec("random_connected(n=5..6,3,seed=1,q=2)"),
+     "random_connected has no field 'q': 'random_connected(n=5..6,3,seed=1,q=2)'"),
+])
+def test_corpus_argument_errors(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_random_connected_reproducible():

@@ -1,5 +1,6 @@
 """Extremal-family recognizers and certified constructions."""
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -275,6 +276,28 @@ def test_construct_comb_membership():
         assert open_packing_number(g).value == l(g, 2) == 6
     with pytest.raises(ValueError):
         construct_comb(2, (1,))
+
+
+@pytest.mark.parametrize("build, args, message", [
+    (construct_diam2, (11,), "order 66 exceeds 64 (a <= 10)"),
+    (construct_tree_prescribed, (1, 2), "construction needs a >= 2"),
+    (construct_tree_prescribed, (22, 44), "order 66 exceeds 64"),       # b == 2a: chained paths
+    (construct_tree_prescribed, (30, 36), "order 65 exceeds 64"),       # b < 2a: a star
+    (construct_spider, (-1, 0), "spider needs t >= 0 and s >= 0"),
+    (construct_spider, (32, 0), "order 65 exceeds 64"),
+    (construct_comb, (0,), "comb needs a >= 1"),
+    (construct_family, ("complete_bipartite", (0, 3)),
+     "complete bipartite graph needs both parts >= 1"),
+    (construct_family, ("wheel", 5), "unknown family 'wheel'"),
+])
+def test_constructions_reject_bad_parameters(build, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(*args)
+
+
+def test_spider_shapes_reject_a_triangle():
+    # every centre of K_3 sees its second level inside its first
+    assert spider_shapes(construct_family("complete", 3)) == []
 
 
 def test_build_from_spec():

@@ -325,6 +325,17 @@ def test_edge_list_errors():
         parse_edge_list("\n3\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 x\n", "edge-list line 1 must be 'n m'"),
+    ("65 0\n", "order 65 outside 0..64"),
+    ("3 1\n0 1 2\n", "edge-list line 2 must be 'u v'"),
+    ("3 1\n\n0 x\n", "edge-list line 3 must be 'u v'"),
+])
+def test_edge_list_malformed_lines(text, message):
+    with pytest.raises(GraphFormatError, match=f"^{message}$"):
+        parse_edge_list(text)
+
+
 def test_edge_list_repeated_edge_names_both_lines():
     # a line's number counts the blank lines before it
     for text, message in (("3 2\n0 1\n1 0\n", "line 3: edge 0-1 repeats line 2"),
