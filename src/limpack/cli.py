@@ -95,10 +95,11 @@ def cmd_solve(args) -> int:
 def cmd_params(args) -> int:
     g = _load_graph(args.graph)
     p = profile(g)
+    packing = solvers._Packing(g.closed)  # one prepared search for L1..L3, as in GraphFacts
     solves = {
-        "L1": lambda: solvers.limited_packing_number(g, 1),
-        "L2": lambda: solvers.limited_packing_number(g, 2),
-        "L3": lambda: solvers.limited_packing_number(g, 3),
+        "L1": lambda: packing.solve(1),
+        "L2": lambda: packing.solve(2),
+        "L3": lambda: packing.solve(3),
         "rho0": lambda: solvers.open_packing_number(g),
         "gamma": lambda: solvers.domination_number(g),
         "gamma_t": lambda: solvers.total_domination_number(g),

@@ -181,16 +181,24 @@ class _Packing:
     hits on each row; once one is exhausted, every vertex of that row is
     blocked.  The free vertices are the undecided, unblocked ones, and a
     branch dies when the set so far plus a bound on how many free vertices
-    can join cannot beat the incumbent.  Two bounds are tried in turn: the
-    count of free vertices, then the residual cover bound (with closed rows,
-    the local form of L_k <= k * gamma).  It splits the free vertices into
+    can join cannot beat the incumbent.  The bound starts at the count of
+    free vertices and falls to the residual cover bound (with closed rows,
+    the local form of L_k <= k * gamma).  That splits the free vertices into
     parts inside rows, each holding at most min(|part|, capacity of the
     row): in branching order, every row with more free vertices than
     capacity takes them as a part, and each free vertex left over is a part
-    of its own.  When no row takes a part, every free vertex fits at once:
-    the branch closes with all of them chosen, the leaf its include-first
-    descent would reach, since a row's capacity runs out only as its last
-    free vertex joins.
+    of its own.  Each part lowers the bound by its excess over the capacity,
+    so the branch dies as soon as the bound reaches the incumbent.  When no
+    row takes a part, every free vertex fits at once: the branch closes with
+    all of them chosen, the leaf its include-first descent would reach,
+    since a row's capacity runs out only as its last free vertex joins.
+
+    The incumbent starts from a first fit in reverse branching order (each
+    vertex taken unless blocked), at one below its size and with no set: the
+    search prunes as if it had that packing, yet the first optimum in search
+    order still replaces it, so the witness stays the lexicographically
+    greatest optimum in branching order, and the search visits a subset of
+    the nodes it would visit from an empty incumbent.
     """
 
     __slots__ = ("rows", "sizes", "order", "rest", "members")
@@ -216,11 +224,21 @@ class _Packing:
         # only a row with more than cap vertices can hold more free vertices than
         # its capacity: each chosen vertex that spent some of it is not free
         hubs = [(w, rows[w]) for w in order if sizes[w] > cap]
-        nodes = 0
-        best = 0
-        best_mask = 0
         caps = [cap] * n
         blocked = 0  # vertices in some exhausted row
+        found = 0  # first fit in reverse branching order, for the incumbent
+        for v in reversed(order):
+            if not (blocked >> v) & 1:
+                found += 1
+                for u in members[v]:
+                    caps[u] -= 1
+                    if caps[u] == 0:
+                        blocked |= rows[u]
+        nodes = 0
+        best = found - 1  # one below, so the first optimum in search order replaces it
+        best_mask = 0
+        caps = [cap] * n
+        blocked = 0
 
         def walk(pos: int, chosen: int, chosen_mask: int) -> None:
             nonlocal best, best_mask, nodes, blocked
@@ -228,20 +246,21 @@ class _Packing:
             if chosen > best:
                 best = chosen
                 best_mask = chosen_mask
-            free = rest[pos] & ~blocked
-            if chosen + free.bit_count() <= best:
+            free = start = rest[pos] & ~blocked
+            bound = chosen + free.bit_count()
+            if bound <= best:
                 return
-            bound = chosen
             for w, rw in hubs:
-                if (rw & free).bit_count() > caps[w]:
-                    bound += caps[w]
+                hits = (rw & free).bit_count()
+                if hits > caps[w]:
+                    bound -= hits - caps[w]
+                    if bound <= best:
+                        return
                     free &= ~rw
                     if not free:  # no later row can take a part
                         break
-            if bound + free.bit_count() <= best:
-                return
-            if bound == chosen:  # no row took a part: every free vertex fits
-                best = chosen + free.bit_count()
+            if free == start:  # no row took a part: every free vertex fits
+                best = bound
                 best_mask = chosen_mask | free
                 return
             v = order[pos]

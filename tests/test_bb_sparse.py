@@ -5,8 +5,9 @@ the value, the witness and the `nodes_explored` of `limited_packing_bb` as it
 stood before the residual cover bound: a search that pruned only on the
 packing so far plus the count of still-eligible vertices.  The test asserts
 that the current search returns the same values and the same witnesses (the
-lexicographically greatest optimum in branching order), and that it explores
-at most a tenth of the recorded nodes in total.
+lexicographically greatest optimum in branching order), that it explores
+at most a tenth of the recorded nodes in total, and at most 19,997 nodes, the
+count the search reached once it started from a first-fit incumbent.
 
 The recorded node counts are the reference for that ratio, so the file must
 not be regenerated with the current search.  To recreate it, run
@@ -64,6 +65,8 @@ def test_bb_sparse_golden():
     total = sum(r["nodes_explored"] for r in rows)
     reference = sum(r["nodes_explored"] for r in golden)
     assert 10 * total <= reference, (total, reference)
+    # the first-fit incumbent and the falling bound reach 19,997 nodes
+    assert total <= 19_997, total
 
 
 def milp_limited_packing(g: Graph, k: int) -> int:

@@ -5,6 +5,10 @@ the witness and the `nodes_explored` of `domination_number`,
 `total_domination_number` and `open_packing_number`, as the search stood
 before its "min" sense took a per-row demand.  At demand 1 that search must
 be the same search: the test asserts that all three fields are unchanged.
+The rho0 rows' `nodes_explored` were regenerated once, when the packing
+search began to start from a first-fit incumbent and to leave its bound loop
+as soon as the bound fell to the incumbent: 41 of those rows fell (111,841
+to 101,515 nodes in total), and every value and witness stayed as recorded.
 
 The graphs are seeded G(n, 2.5/(n-1)) for n = 24..64 (gamma_t where no vertex
 is isolated, and on the graph without its isolated vertices), the 7x7 and

@@ -165,6 +165,32 @@ def test_bb_witness_is_first_optimum_in_branching_order():
             assert res.witness == max(optimal, key=lambda m: [m >> v & 1 for v in order])
 
 
+def test_open_packing_witness_is_first_optimum_in_branching_order():
+    # the same search over open rows: branching by descending degree, ties by index
+    rng = random.Random(78)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        p = rng.choice((0.2, 0.4, 0.7))
+        g = Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+        degs = g.degrees()
+        order = sorted(range(n), key=lambda v: (-degs[v], v))
+        res = open_packing_number(g)
+        optimal = [m for m in range(1 << n)
+                   if m.bit_count() == res.value and is_open_packing(g, m)]
+        assert res.witness == max(optimal, key=lambda m: [m >> v & 1 for v in order])
+
+
+def test_bb_witness_is_not_the_first_fit_incumbent():
+    # on P_3 at k = 1 the branching order is 1, 0, 2; the first fit in reverse
+    # order takes vertex 2 and is already optimal, but the incumbent starts one
+    # below its size, so the search still returns its own first optimum {1}
+    g = construct_family("path", 3)
+    assert is_k_limited_packing(g, 1, mask_of([2]))
+    res = limited_packing_bb(g, 1)
+    assert res.value == 1
+    assert res.witness_vertices() == [1]
+
+
 def test_bb_closes_branch_once_every_free_vertex_fits():
     # on P_7 at k = 2 the rule fires below the root; the search without it,
     # which took each free vertex in its own include branch, explored 19 nodes
