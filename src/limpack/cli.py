@@ -95,11 +95,12 @@ def cmd_solve(args) -> int:
 def cmd_params(args) -> int:
     g = _load_graph(args.graph)
     p = profile(g)
-    packing = solvers._Packing(g.closed)  # one prepared search for L1..L3, as in GraphFacts
+    # one prepared search for L1..L3, value-only, as in GraphFacts
+    packing = solvers._Packing(g.closed)
     solves = {
-        "L1": lambda: packing.solve(1),
-        "L2": lambda: packing.solve(2),
-        "L3": lambda: packing.solve(3),
+        "L1": lambda: packing.solve(1, ordered=False),
+        "L2": lambda: packing.solve(2, ordered=False),
+        "L3": lambda: packing.solve(3, ordered=False),
         "rho0": lambda: solvers.open_packing_number(g),
         "gamma": lambda: solvers.domination_number(g),
         "gamma_t": lambda: solvers.total_domination_number(g),

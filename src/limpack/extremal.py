@@ -86,22 +86,46 @@ def recognize_class_G(g: Graph) -> ClassGWitness | None:
 
     The search only tries A0 == N[v] for maximum-degree v: any witness has a
     spanning-star centre of maximum degree whose closed neighbourhood is
-    exactly A0, so this is complete.
+    exactly A0, so this is complete.  Each such v, in ascending order, tries
+    the pairs {a, b} of A0 in combinations order, B0 = R | {a, b} with
+    R = V - N[v], and returns the first that _class_g_witness_ok accepts.
+    Its first two conditions hold for every such pair (v is the star
+    centre); its last two say that a vertex sees at most one B0 vertex if it
+    lies in B0, else at most two.  A vertex other than a and b sees its
+    R-neighbours and whichever of a and b it is adjacent to, so with ge1,
+    ge2 and ge3 the vertices with at least one, two and three R-neighbours
+    (built once per v) those conditions read:
+    - an R vertex in ge2 or an A0 vertex in ge3 fails every pair: skip v;
+    - a and b lie in B0, so outside ge2;
+    - tight = (R & ge1) | ge2, the other vertices already at their limit,
+      may not be adjacent to a or b (such candidates are dropped before
+      pairing);
+    - loose = R | ge1, those within one of it, may not be adjacent to both;
+    - a sees its R-neighbours and b: adjacent a and b lie outside ge1.
     """
-    full = g.full_mask
+    adj = g.adj
     degs = g.degrees()
     dmax = max(degs, default=0)
     for v in range(g.n):
         if degs[v] != dmax:
             continue
         a0 = g.closed[v]
-        # a pair vertex lies in B0, which holds all its neighbours outside A0,
-        # and a B0 vertex has at most one B0 neighbour
-        ends = [u for u in bits(a0) if (g.adj[u] & ~a0).bit_count() <= 1]
-        for pair in combinations(ends, 2):
-            b0 = (full & ~a0) | mask_of(pair)
-            if _class_g_witness_ok(g, a0, b0):
-                return ClassGWitness(a0, b0)
+        r = g.full_mask & ~a0
+        ge1 = ge2 = ge3 = 0
+        for w in bits(r):
+            m = adj[w]
+            ge3 |= ge2 & m
+            ge2 |= ge1 & m
+            ge1 |= m
+        if r & ge2 or a0 & ge3:
+            continue
+        tight = (r & ge1) | ge2
+        loose = r | ge1
+        ends = [u for u in bits(a0 & ~ge2) if not adj[u] & tight]
+        for a, b in combinations(ends, 2):
+            if adj[a] & adj[b] & loose or adj[a] >> b & 1 and (ge1 >> a | ge1 >> b) & 1:
+                continue
+            return ClassGWitness(a0, r | (1 << a) | (1 << b))
     return None
 
 

@@ -194,11 +194,19 @@ class _Packing:
     since a row's capacity runs out only as its last free vertex joins.
 
     The incumbent starts from a first fit in reverse branching order (each
-    vertex taken unless blocked), at one below its size and with no set: the
-    search prunes as if it had that packing, yet the first optimum in search
-    order still replaces it, so the witness stays the lexicographically
-    greatest optimum in branching order, and the search visits a subset of
-    the nodes it would visit from an empty incumbent.
+    vertex taken unless blocked).  solve(cap) starts it at one below the
+    fit's size and with no set: the search prunes as if it had that packing,
+    yet the first optimum in search order still replaces it, so the witness
+    stays the lexicographically greatest optimum in branching order, and the
+    search visits a subset of the nodes it would visit from an empty
+    incumbent.  solve(cap, ordered=False), for callers that read only the
+    value, starts it at the fit itself, size and set, so the search only
+    proves the fit or beats it, and the witness is some optimum.  That
+    search visits no node the ordered one skips: its incumbent is never
+    lower at a node both reach, since the ordered search's best there is
+    the fit's size less one or a set found at an earlier node, which the
+    value-only search either reached too or pruned under an ancestor whose
+    bound, at least that set's size, did not beat its incumbent.
     """
 
     __slots__ = ("rows", "sizes", "order", "rest", "members")
@@ -215,7 +223,7 @@ class _Packing:
         # tuple free lists, which added about 1 MB to peak RSS over many searches
         self.members = [list(bits(row)) for row in rows]
 
-    def solve(self, cap: int) -> SolveResult:
+    def solve(self, cap: int, ordered: bool = True) -> SolveResult:
         rows, sizes, order, rest, members = self.rows, self.sizes, self.order, self.rest, self.members
         n = len(rows)
         if not order or sizes[order[0]] <= cap:
@@ -226,17 +234,19 @@ class _Packing:
         hubs = [(w, rows[w]) for w in order if sizes[w] > cap]
         caps = [cap] * n
         blocked = 0  # vertices in some exhausted row
-        found = 0  # first fit in reverse branching order, for the incumbent
+        fit = 0  # first fit in reverse branching order, for the incumbent
         for v in reversed(order):
             if not (blocked >> v) & 1:
-                found += 1
+                fit |= 1 << v
                 for u in members[v]:
                     caps[u] -= 1
                     if caps[u] == 0:
                         blocked |= rows[u]
         nodes = 0
-        best = found - 1  # one below, so the first optimum in search order replaces it
-        best_mask = 0
+        if ordered:  # one below, so the first optimum in search order replaces it
+            best, best_mask = fit.bit_count() - 1, 0
+        else:
+            best, best_mask = fit.bit_count(), fit
         caps = [cap] * n
         blocked = 0
 
@@ -352,7 +362,9 @@ class GraphFacts:
     Every value comes from branch and bound at every order; only values are
     read, so which optimum a solver returns does not matter here.  One packing
     search over the closed neighbourhoods is prepared on the first lk read and
-    answers every k.  The campaign, the bound table and the Nordhaus-Gaddum
+    answers every k, value-only (solve(k, ordered=False)), as does the
+    complement route of lk_bar; rho0 goes through open_packing_number, whose
+    search stays ordered.  The campaign, the bound table and the Nordhaus-Gaddum
     sums read these attributes; run_campaign evaluates one graph per
     isomorphism class of order <= 6, and of order 7 too in a corpus with an
     all_labeled(7) term, so evaluators read only invariants.
@@ -395,7 +407,7 @@ class GraphFacts:
     def lk(self, k: int) -> int:
         if k not in self._lk:
             _check_k(k)
-            self._lk[k] = self._packing.solve(k).value
+            self._lk[k] = self._packing.solve(k, ordered=False).value
         return self._lk[k]
 
     @property
@@ -426,7 +438,7 @@ class GraphFacts:
             return n
         if route == "complement":
             return self._timed(searches, {"search": "packing", "rows": "complement", "k": k},
-                               lambda: self._bar_packing.solve(k)).value
+                               lambda: self._bar_packing.solve(k, ordered=False)).value
         j = 0
         while j < min(delta, n - k) and self._tuple_dominated(j + 1, k + j + 1, searches):
             j += 1

@@ -14,7 +14,8 @@ from limpack import (Graph, bits, build_from_spec, check_Lk_equals_k,
                      recognize_class_T, recognize_spider, spider_shapes)
 from limpack.corpus import (enumerate_labeled_graphs, enumerate_labeled_trees,
                             enumerate_tree_classes, prufer_decode, random_connected)
-from limpack.extremal import SpiderShape, _class_g_witness_ok, _class_t_witness_ok
+from limpack.extremal import (ClassGWitness, SpiderShape, _class_g_witness_ok,
+                              _class_t_witness_ok)
 from limpack.graphs import mask_of
 
 
@@ -91,6 +92,41 @@ def test_class_g_bounded_matches_exhaustive_search():
     for n in (7, 8, 9):
         for g in random_connected(n, 20, seed=n):
             assert (recognize_class_G(g) is not None) == class_g_by_scan(g), g.edges()
+
+
+def class_g_by_pair_walks(g):
+    """The recognizer's search with each pair checked by _class_g_witness_ok."""
+    full = g.full_mask
+    degs = g.degrees()
+    dmax = max(degs, default=0)
+    for v in range(g.n):
+        if degs[v] != dmax:
+            continue
+        a0 = g.closed[v]
+        ends = [u for u in bits(a0) if (g.adj[u] & ~a0).bit_count() <= 1]
+        for pair in combinations(ends, 2):
+            b0 = (full & ~a0) | mask_of(pair)
+            if _class_g_witness_ok(g, a0, b0):
+                return ClassGWitness(a0, b0)
+    return None
+
+
+def test_class_g_mask_test_finds_the_same_witness():
+    graphs = [g for n in range(1, 7) for g in enumerate_labeled_graphs(n)]
+    rng = random.Random(2324)
+    for _ in range(500):
+        n = rng.randint(7, 14)
+        p = rng.choice((0.2, 0.5, 0.8))
+        graphs.append(Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j)
+                                           if rng.random() < p]))
+    members = 0
+    for g in graphs:
+        got = recognize_class_G(g)
+        assert got == class_g_by_pair_walks(g), g.edges()
+        if got is not None:
+            assert _class_g_witness_ok(g, got.a0, got.b0), g.edges()
+            members += 1
+    assert 0 < members < len(graphs)
 
 
 # ---------------------------------------------------------------------------

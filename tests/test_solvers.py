@@ -10,9 +10,9 @@ from limpack import (Graph, OracleLimitError, UndefinedParameterError,
                      limited_packing_bb, limited_packing_number,
                      limited_packing_oracle, mask_of, open_packing_number,
                      total_domination_number)
-from limpack.corpus import (enumerate_labeled_graphs, labeled_class, parse_corpus_spec,
-                            random_connected)
-from limpack.solvers import GraphFacts
+from limpack.corpus import (enumerate_labeled_graphs, enumerate_tree_classes, labeled_class,
+                            parse_corpus_spec, random_connected)
+from limpack.solvers import GraphFacts, _Packing
 
 
 def petersen() -> Graph:
@@ -189,6 +189,40 @@ def test_bb_witness_is_not_the_first_fit_incumbent():
     res = limited_packing_bb(g, 1)
     assert res.value == 1
     assert res.witness_vertices() == [1]
+
+
+def test_value_only_search_proves_the_same_value():
+    # solve(k, ordered=False) starts from the first fit itself: same value, a
+    # packing of that size, and no node the ordered search skips
+    first = {}
+    for g in parse_corpus_spec("all_labeled(6)"):
+        first.setdefault(labeled_class(g), g)
+    graphs = list(first.values()) + [t for n in range(1, 10) for t in enumerate_tree_classes(n)]
+    rng = random.Random(2323)
+    for _ in range(200):
+        n = rng.randint(2, 16)
+        p = rng.choice((0.2, 0.5, 0.8))
+        g = Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+        graphs.append(g)
+        if 4 * g.edge_count() > n * (n - 1):
+            graphs.append(complement(g))
+    for g in graphs:
+        packing = _Packing(g.closed)
+        for k in (1, 2, 3, 4):
+            ordered = packing.solve(k)
+            fast = packing.solve(k, ordered=False)
+            assert fast.value == ordered.value, (g, k)
+            assert is_k_limited_packing(g, k, fast.witness), (g, k)
+            assert fast.witness.bit_count() == fast.value, (g, k)
+            assert fast.nodes_explored <= ordered.nodes_explored, (g, k)
+
+
+def test_value_only_search_keeps_the_first_fit():
+    # on P_3 at k = 1 the first fit in reverse branching order (1, 0, 2) takes
+    # vertex 2; the value-only search keeps it, the ordered one returns {1}
+    g = construct_family("path", 3)
+    assert _Packing(g.closed).solve(1, ordered=False).witness_vertices() == [2]
+    assert limited_packing_bb(g, 1).witness_vertices() == [1]
 
 
 def test_bb_closes_branch_once_every_free_vertex_fits():
