@@ -500,7 +500,6 @@ def _violation_key(v: dict):
 
 
 def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
-                 registry: dict[str, Evaluator] | None = None,
                  corpus_spec: str | None = None) -> CampaignReport:
     """Evaluate the named statements over a corpus for every k in k_range.
 
@@ -516,13 +515,12 @@ def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
     increment.  The counts enter the verdicts once per distinct rows tuple,
     as rows times graphs.  A graph whose rows carry a violation records it
     under its own graph6, the only time a corpus graph's graph6 is emitted.
-    So evaluators, custom registry ones included, must depend only on
-    isomorphism invariants; the graph6 comes from the record.  The
+    So evaluators, including entries a caller adds to REGISTRY, must depend
+    only on isomorphism invariants; the graph6 comes from the record.  The
     supplements and the standalone sweeps are tallied one by one.
     """
-    registry = REGISTRY if registry is None else registry
     ids = list(dict.fromkeys(theorem_ids))
-    unknown = sorted(set(ids) - set(registry))
+    unknown = sorted(set(ids) - set(REGISTRY))
     if unknown:
         raise ValueError(f"unknown theorem ids: {', '.join(unknown)}")
     ks = sorted(set(k_range))
@@ -530,8 +528,8 @@ def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
         raise ValueError("k values must be >= 1")
 
     verdicts = {tid: TheoremVerdict(tid, 0, 0, 0, []) for tid in ids}
-    per_graph = [tid for tid in ids if registry[tid].kind != "standalone"]
-    evs, targets = [registry[tid] for tid in per_graph], [verdicts[tid] for tid in per_graph]
+    per_graph = [tid for tid in ids if REGISTRY[tid].kind != "standalone"]
+    evs, targets = [REGISTRY[tid] for tid in per_graph], [verdicts[tid] for tid in per_graph]
     interned: dict = {}
     tally: dict = {}      # rows -> [graphs, whether the rows carry a violation, rows]
     by_class: dict = {}   # class key -> its rows' tally entry
@@ -556,7 +554,7 @@ def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
         for members, _, rows in tally.values():
             _count(targets, rows, members)
     for tid in ids:
-        ev = registry[tid]
+        ev = REGISTRY[tid]
         if ev.kind == "standalone":
             for g, row in ev.runner():
                 _tally([verdicts[tid]], (row,), g)
@@ -571,14 +569,12 @@ def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
                           graphs, evaluated)
 
 
-def replay_violation(theorem_id: str, graph6: str, k: int | None = None,
-                     registry: dict[str, Evaluator] | None = None) -> Outcome:
+def replay_violation(theorem_id: str, graph6: str, k: int | None = None) -> Outcome:
     """Re-run one evaluator on one graph, standalone from a violation record;
     a per-k evaluator needs the record's k, >= 1 as in run_campaign."""
-    registry = REGISTRY if registry is None else registry
-    if theorem_id not in registry:
+    if theorem_id not in REGISTRY:
         raise ValueError(f"unknown theorem id: {theorem_id}")
-    ev = registry[theorem_id]
+    ev = REGISTRY[theorem_id]
     if ev.kind == "standalone":
         raise ValueError(f"{theorem_id} sweeps its own instances; rerun the campaign entry")
     facts = GraphFacts(parse_graph6(graph6))

@@ -95,12 +95,12 @@ def cmd_solve(args) -> int:
 def cmd_params(args) -> int:
     g = _load_graph(args.graph)
     p = profile(g)
-    # one prepared search for L1..L3, value-only, as in GraphFacts
+    # one prepared search for L1..L3, as in GraphFacts
     packing = solvers._Packing(g.closed)
     solves = {
-        "L1": lambda: packing.solve(1, ordered=False),
-        "L2": lambda: packing.solve(2, ordered=False),
-        "L3": lambda: packing.solve(3, ordered=False),
+        "L1": lambda: packing.solve(1),
+        "L2": lambda: packing.solve(2),
+        "L3": lambda: packing.solve(3),
         "rho0": lambda: solvers.open_packing_number(g),
         "gamma": lambda: solvers.domination_number(g),
         "gamma_t": lambda: solvers.total_domination_number(g),
@@ -226,8 +226,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("auto", "oracle", "bb"), default="auto")
     p.add_argument("--witness", action="store_true",
                    help="also print an optimal set: branch and bound's first "
-                        "optimum in its search order; --method oracle gives the "
-                        "lexicographically least one")
+                        "fit when it is optimal, else the last larger packing it "
+                        "finds; --method oracle gives the lexicographically "
+                        "least one")
     p.add_argument("--stats", action="store_true",
                    help="print method, nodes explored and elapsed seconds as "
                         "one JSON line on stderr")

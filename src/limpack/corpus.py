@@ -285,7 +285,9 @@ def enumerate_tree_classes(n: int) -> list[Graph]:
     depends only on which trees are isomorphic, not on the interned codes,
     which depend on what the process keyed before.
     """
-    return list(tree_classes_by_order(n))[-1]
+    for reps in tree_classes_by_order(n):
+        pass
+    return reps
 
 
 # ---------------------------------------------------------------------------

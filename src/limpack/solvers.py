@@ -6,7 +6,8 @@ to n <= 24), kept as the independent reference.  The companion parameters go
 through branch and bound too, at every order: rho0 through the packing search
 (_Packing), gamma and gamma_t through the cover search (_cover).  All are
 deterministic: the oracle returns the smallest bitmask among maximum
-solutions, branch and bound the first optimum in its search order.
+solutions; the packing search keeps its first-fit incumbent unless it finds
+a larger set, and the cover search returns its first optimum in search order.
 limited_packing_number's default ("auto") is branch and bound at every order;
 the oracle runs only on request.  The cover search takes a demand j: gamma
 and gamma_t are its j = 1 case, and j-tuple total domination gives L_k of the
@@ -193,20 +194,10 @@ class _Packing:
     all of them chosen, the leaf its include-first descent would reach,
     since a row's capacity runs out only as its last free vertex joins.
 
-    The incumbent starts from a first fit in reverse branching order (each
-    vertex taken unless blocked).  solve(cap) starts it at one below the
-    fit's size and with no set: the search prunes as if it had that packing,
-    yet the first optimum in search order still replaces it, so the witness
-    stays the lexicographically greatest optimum in branching order, and the
-    search visits a subset of the nodes it would visit from an empty
-    incumbent.  solve(cap, ordered=False), for callers that read only the
-    value, starts it at the fit itself, size and set, so the search only
-    proves the fit or beats it, and the witness is some optimum.  That
-    search visits no node the ordered one skips: its incumbent is never
-    lower at a node both reach, since the ordered search's best there is
-    the fit's size less one or a set found at an earlier node, which the
-    value-only search either reached too or pruned under an ancestor whose
-    bound, at least that set's size, did not beat its incumbent.
+    The incumbent starts at a first fit in reverse branching order (each
+    vertex taken unless blocked), size and set, so the search only proves
+    the fit or beats it.  The witness is that fit when it is optimal, and
+    otherwise the last larger packing the search finds.
     """
 
     __slots__ = ("rows", "sizes", "order", "rest", "members")
@@ -223,7 +214,7 @@ class _Packing:
         # tuple free lists, which added about 1 MB to peak RSS over many searches
         self.members = [list(bits(row)) for row in rows]
 
-    def solve(self, cap: int, ordered: bool = True) -> SolveResult:
+    def solve(self, cap: int) -> SolveResult:
         rows, sizes, order, rest, members = self.rows, self.sizes, self.order, self.rest, self.members
         n = len(rows)
         if not order or sizes[order[0]] <= cap:
@@ -234,7 +225,7 @@ class _Packing:
         hubs = [(w, rows[w]) for w in order if sizes[w] > cap]
         caps = [cap] * n
         blocked = 0  # vertices in some exhausted row
-        fit = 0  # first fit in reverse branching order, for the incumbent
+        fit = 0  # first fit in reverse branching order: the incumbent
         for v in reversed(order):
             if not (blocked >> v) & 1:
                 fit |= 1 << v
@@ -243,10 +234,7 @@ class _Packing:
                     if caps[u] == 0:
                         blocked |= rows[u]
         nodes = 0
-        if ordered:  # one below, so the first optimum in search order replaces it
-            best, best_mask = fit.bit_count() - 1, 0
-        else:
-            best, best_mask = fit.bit_count(), fit
+        best, best_mask = fit.bit_count(), fit
         caps = [cap] * n
         blocked = 0
 
@@ -295,8 +283,8 @@ def limited_packing_bb(g: Graph, k: int) -> SolveResult:
 
     The packing search over closed neighbourhoods with cap k: branching in
     descending-degree order, pruned by the residual cover bound.  The
-    witness is the first maximum packing in search order, i.e. the
-    lexicographically greatest optimum in branching order.
+    witness is the first fit in reverse branching order when that is
+    optimal, and otherwise the last larger packing the search finds.
     """
     _check_k(k)
     return _Packing(g.closed).solve(k)
@@ -362,12 +350,12 @@ class GraphFacts:
     Every value comes from branch and bound at every order; only values are
     read, so which optimum a solver returns does not matter here.  One packing
     search over the closed neighbourhoods is prepared on the first lk read and
-    answers every k, value-only (solve(k, ordered=False)), as does the
-    complement route of lk_bar; rho0 goes through open_packing_number, whose
-    search stays ordered.  The campaign, the bound table and the Nordhaus-Gaddum
-    sums read these attributes; run_campaign evaluates one graph per
-    isomorphism class of order <= 6, and of order 7 too in a corpus with an
-    all_labeled(7) term, so evaluators read only invariants.
+    answers every k, and lk_bar's complement route prepares one over the
+    complement's; rho0 goes through open_packing_number.  The campaign, the
+    bound table and the Nordhaus-Gaddum sums read these attributes;
+    run_campaign evaluates one graph per isomorphism class of order <= 6, and
+    of order 7 too in a corpus with an all_labeled(7) term, so evaluators
+    read only invariants.
 
     lk_bar(k), L_k of the complement, takes its route from the graph.  For
     n > k and j >= 1, a set S of k + j vertices is a k-limited packing of the
@@ -407,7 +395,7 @@ class GraphFacts:
     def lk(self, k: int) -> int:
         if k not in self._lk:
             _check_k(k)
-            self._lk[k] = self._packing.solve(k, ordered=False).value
+            self._lk[k] = self._packing.solve(k).value
         return self._lk[k]
 
     @property
@@ -438,7 +426,7 @@ class GraphFacts:
             return n
         if route == "complement":
             return self._timed(searches, {"search": "packing", "rows": "complement", "k": k},
-                               lambda: self._bar_packing.solve(k, ordered=False)).value
+                               lambda: self._bar_packing.solve(k)).value
         j = 0
         while j < min(delta, n - k) and self._tuple_dominated(j + 1, k + j + 1, searches):
             j += 1

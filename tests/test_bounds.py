@@ -16,12 +16,7 @@ from limpack.corpus import (enumerate_labeled_graphs, labeled_class, random_conn
 from limpack.graphs import mask_of
 from limpack.solvers import GraphFacts
 
-
-def petersen() -> Graph:
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(i, 5 + i) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph.from_edges(10, edges)
+from sample_graphs import petersen
 
 
 def entry(report, eid):

@@ -103,12 +103,11 @@ def test_vacuous_detection():
     assert not report.failed
 
 
-def test_injected_failure_and_replay():
-    registry = dict(REGISTRY)
-    registry["fake-id"] = Evaluator(
-        "once", fn=lambda facts: Outcome(True, False, "always broken"))
+def test_injected_failure_and_replay(monkeypatch):
+    monkeypatch.setitem(REGISTRY, "fake-id", Evaluator(
+        "once", fn=lambda facts: Outcome(True, False, "always broken")))
     corpus = parse_corpus_spec("all_labeled(2)")
-    report = run_campaign(["fake-id", "lem-kgamma"], corpus, (1,), registry=registry)
+    report = run_campaign(["fake-id", "lem-kgamma"], corpus, (1,))
     assert report.failed
     by_id = {v.theorem_id: v for v in report.verdicts}
     assert by_id["lem-kgamma"].status == "pass"
@@ -119,7 +118,7 @@ def test_injected_failure_and_replay():
     assert set(first) == {"graph6", "k", "detail"}
     assert first["k"] is None
     # violations are replayable from their recorded coordinates
-    out = replay_violation("fake-id", first["graph6"], registry=registry)
+    out = replay_violation("fake-id", first["graph6"])
     assert out.detail == "always broken"
 
 
@@ -283,22 +282,21 @@ def _four_edges(f: GraphFacts, k: int = None) -> Outcome:
     return Outcome(True, f.profile.connected)
 
 
-def test_multiplicity_tally_matches_graph_by_graph():
-    registry = dict(REGISTRY)
-    registry["planted-once"] = Evaluator("once", fn=_four_edges)
-    registry["planted-per-k"] = Evaluator("per_k", fn=_four_edges)
+def test_multiplicity_tally_matches_graph_by_graph(monkeypatch):
+    monkeypatch.setitem(REGISTRY, "planted-once", Evaluator("once", fn=_four_edges))
+    monkeypatch.setitem(REGISTRY, "planted-per-k", Evaluator("per_k", fn=_four_edges))
     ids = ["planted-once", "planted-per-k", "lem-kgamma", "th-ng-upper", "cor-classG",
            "lem-monotone-chain"]
     spec = "all_labeled(5)+trees(<=7)+random_connected(n=7..8,6,seed=3)"
     ks = (1, 2, 3)
-    report = run_campaign(ids, parse_corpus_spec(spec), ks, registry=registry)
+    report = run_campaign(ids, parse_corpus_spec(spec), ks)
     # the reference: every graph evaluated and tallied on its own
     expect = {tid: {"theorem_id": tid, "graphs_checked": 0, "substantive_checks": 0,
                     "positive_cases": 0, "violations": []} for tid in ids}
     for g in parse_corpus_spec(spec):
         facts = GraphFacts(g)
         for tid in ids:
-            ev = registry[tid]
+            ev = REGISTRY[tid]
             outs = ([(None, ev.fn(facts))] if ev.kind == "once" else
                     [(k, ev.fn(facts, k)) for k in ks])
             e = expect[tid]
@@ -364,11 +362,10 @@ def _nine_edges_at_k2(f: GraphFacts, k: int) -> Outcome:
     return Outcome(True, f.profile.connected)
 
 
-def test_repeated_rows_without_class_key_match_graph_by_graph():
+def test_repeated_rows_without_class_key_match_graph_by_graph(monkeypatch):
     # order 8 is above every class limit, so each graph is evaluated; the
     # second copy and the relabeling repeat the first one's rows
-    registry = dict(REGISTRY)
-    registry["planted-per-k"] = Evaluator("per_k", fn=_nine_edges_at_k2)
+    monkeypatch.setitem(REGISTRY, "planted-per-k", Evaluator("per_k", fn=_nine_edges_at_k2))
     ids = ["planted-per-k", "lem-kgamma", "th-ng-upper", "cor-classG", "th-girth-l1"]
     g = Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)] + [(0, 4)])
     perm = [3, 7, 0, 5, 1, 6, 2, 4]
@@ -377,13 +374,13 @@ def test_repeated_rows_without_class_key_match_graph_by_graph():
     corpus = [g, path, g, relabeled]
     assert labeled_class(g) is None and emit_graph6(relabeled) != emit_graph6(g)
     ks = (1, 2, 3)
-    report = run_campaign(ids, corpus, ks, registry=registry, corpus_spec="planted")
+    report = run_campaign(ids, corpus, ks, corpus_spec="planted")
     expect = {tid: {"theorem_id": tid, "graphs_checked": 0, "substantive_checks": 0,
                     "positive_cases": 0, "violations": []} for tid in ids}
     for h in corpus:
         facts = GraphFacts(h)
         for tid in ids:
-            ev = registry[tid]
+            ev = REGISTRY[tid]
             outs = ([(None, ev.fn(facts))] if ev.kind == "once" else
                     [(k, ev.fn(facts, k)) for k in ks])
             e = expect[tid]

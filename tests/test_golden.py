@@ -16,6 +16,8 @@ from pathlib import Path
 from limpack import Graph, bound_report, build_from_spec, parse_corpus_spec, run_campaign
 from limpack.campaign import ALL_THEOREM_IDS
 
+from sample_graphs import petersen
+
 GOLDEN = Path(__file__).parent / "golden"
 PANEL_PATH = GOLDEN / "bounds_panel.json"
 CAMPAIGN_PATH = GOLDEN / "campaign_k1-5.json"
@@ -35,13 +37,6 @@ PANEL_FAMILIES = (
 )
 CAMPAIGN_CORPUS = "all_labeled(5)+trees(≤8)+random_connected(n=6..10,200,seed=7)"
 CAMPAIGN_KS = range(1, 6)
-
-
-def petersen() -> Graph:
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(i, 5 + i) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph.from_edges(10, edges)
 
 
 def panel_graphs() -> list[Graph]:

@@ -12,19 +12,14 @@ from limpack.corpus import (enumerate_labeled_graphs, enumerate_tree_classes, la
                             prufer_decode)
 from limpack.graphs import is_tree
 
+from sample_graphs import petersen
+
 
 def to_nx(g: Graph) -> nx.Graph:
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
     G.add_edges_from(g.edges())
     return G
-
-
-def petersen() -> Graph:
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(i, 5 + i) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph.from_edges(10, edges)
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

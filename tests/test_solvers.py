@@ -9,17 +9,12 @@ from limpack import (Graph, OracleLimitError, UndefinedParameterError,
                      is_open_packing, is_total_dominating_set,
                      limited_packing_bb, limited_packing_number,
                      limited_packing_oracle, mask_of, open_packing_number,
-                     total_domination_number)
-from limpack.corpus import (enumerate_labeled_graphs, enumerate_tree_classes, labeled_class,
-                            parse_corpus_spec, random_connected)
-from limpack.solvers import GraphFacts, _Packing
+                     parse_graph6, total_domination_number)
+from limpack.corpus import (enumerate_labeled_graphs, labeled_class, parse_corpus_spec,
+                            random_connected)
+from limpack.solvers import GraphFacts
 
-
-def petersen() -> Graph:
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(i, 5 + i) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph.from_edges(10, edges)
+from sample_graphs import petersen
 
 
 # ---------------------------------------------------------------------------
@@ -150,88 +145,81 @@ def test_oracle_witness_is_lexicographically_least():
             assert res.witness == min(optimal)
 
 
-def test_bb_witness_is_first_optimum_in_branching_order():
+def first_fit(rows: list[int], cap: int) -> int:
+    """Each vertex in reverse branching order (descending row size, ties by
+    index), taken when every row keeps at most cap members."""
+    order = sorted(range(len(rows)), key=lambda v: (-rows[v].bit_count(), v))
+    fit = 0
+    for v in reversed(order):
+        if all((row & (fit | 1 << v)).bit_count() <= cap for row in rows):
+            fit |= 1 << v
+    return fit
+
+
+def test_bb_witness_is_a_maximum_packing_and_keeps_an_optimal_first_fit():
     rng = random.Random(77)
     for _ in range(60):
         n = rng.randint(1, 10)
         p = rng.choice((0.2, 0.4, 0.7))
         g = Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
-        degs = g.degrees()
-        order = sorted(range(n), key=lambda v: (-degs[v], v))
         for k in (1, 2, 3):
             res = limited_packing_bb(g, k)
-            optimal = [m for m in range(1 << n)
-                       if m.bit_count() == res.value and is_k_limited_packing(g, k, m)]
-            assert res.witness == max(optimal, key=lambda m: [m >> v & 1 for v in order])
+            best = max(m.bit_count() for m in range(1 << n) if is_k_limited_packing(g, k, m))
+            assert res.value == res.witness.bit_count() == best, (g, k)
+            assert is_k_limited_packing(g, k, res.witness), (g, k)
+            fit = first_fit(g.closed, k)
+            if fit.bit_count() == best:
+                assert res.witness == fit, (g, k)
 
 
-def test_open_packing_witness_is_first_optimum_in_branching_order():
-    # the same search over open rows: branching by descending degree, ties by index
+def test_open_packing_witness_is_a_maximum_and_keeps_an_optimal_first_fit():
+    # the same search over open rows, with cap 1
     rng = random.Random(78)
     for _ in range(60):
         n = rng.randint(1, 10)
         p = rng.choice((0.2, 0.4, 0.7))
         g = Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
-        degs = g.degrees()
-        order = sorted(range(n), key=lambda v: (-degs[v], v))
         res = open_packing_number(g)
-        optimal = [m for m in range(1 << n)
-                   if m.bit_count() == res.value and is_open_packing(g, m)]
-        assert res.witness == max(optimal, key=lambda m: [m >> v & 1 for v in order])
+        best = max(m.bit_count() for m in range(1 << n) if is_open_packing(g, m))
+        assert res.value == res.witness.bit_count() == best, g
+        assert is_open_packing(g, res.witness), g
+        fit = first_fit(g.adj, 1)
+        if fit.bit_count() == best:
+            assert res.witness == fit, g
 
 
 def test_bb_witness_is_not_the_first_fit_incumbent():
-    # on P_3 at k = 1 the branching order is 1, 0, 2; the first fit in reverse
-    # order takes vertex 2 and is already optimal, but the incumbent starts one
-    # below its size, so the search still returns its own first optimum {1}
-    g = construct_family("path", 3)
-    assert is_k_limited_packing(g, 1, mask_of([2]))
-    res = limited_packing_bb(g, 1)
-    assert res.value == 1
-    assert res.witness_vertices() == [1]
-
-
-def test_value_only_search_proves_the_same_value():
-    # solve(k, ordered=False) starts from the first fit itself: same value, a
-    # packing of that size, and no node the ordered search skips
-    first = {}
-    for g in parse_corpus_spec("all_labeled(6)"):
-        first.setdefault(labeled_class(g), g)
-    graphs = list(first.values()) + [t for n in range(1, 10) for t in enumerate_tree_classes(n)]
-    rng = random.Random(2323)
-    for _ in range(200):
-        n = rng.randint(2, 16)
-        p = rng.choice((0.2, 0.5, 0.8))
-        g = Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
-        graphs.append(g)
-        if 4 * g.edge_count() > n * (n - 1):
-            graphs.append(complement(g))
-    for g in graphs:
-        packing = _Packing(g.closed)
-        for k in (1, 2, 3, 4):
-            ordered = packing.solve(k)
-            fast = packing.solve(k, ordered=False)
-            assert fast.value == ordered.value, (g, k)
-            assert is_k_limited_packing(g, k, fast.witness), (g, k)
-            assert fast.witness.bit_count() == fast.value, (g, k)
-            assert fast.nodes_explored <= ordered.nodes_explored, (g, k)
+    # on the path 3-1-2-0-4 at k = 2 the first fit in reverse branching order
+    # takes {2, 3, 4}, one short of the optimum, so the witness is the larger
+    # packing the search finds, not the incumbent it started from
+    g = parse_graph6("DY_")
+    fit = first_fit(g.closed, 2)
+    assert fit == mask_of([2, 3, 4])
+    res = limited_packing_bb(g, 2)
+    assert res.value == 4
+    assert res.witness_vertices() == [0, 1, 3, 4]
+    assert res.witness != fit
 
 
 def test_value_only_search_keeps_the_first_fit():
-    # on P_3 at k = 1 the first fit in reverse branching order (1, 0, 2) takes
-    # vertex 2; the value-only search keeps it, the ordered one returns {1}
+    # on P_3 at k = 1 the branching order is 1, 0, 2; the first fit in reverse
+    # order takes vertex 2 and is already optimal, so the search keeps it, as
+    # the value-only search did before it became the only one
     g = construct_family("path", 3)
-    assert _Packing(g.closed).solve(1, ordered=False).witness_vertices() == [2]
-    assert limited_packing_bb(g, 1).witness_vertices() == [1]
+    assert first_fit(g.closed, 1) == mask_of([2])
+    res = limited_packing_bb(g, 1)
+    assert res.value == 1
+    assert res.witness_vertices() == [2]
 
 
 def test_bb_closes_branch_once_every_free_vertex_fits():
-    # on P_7 at k = 2 the rule fires below the root; the search without it,
-    # which took each free vertex in its own include branch, explored 19 nodes
-    res = limited_packing_bb(construct_family("path", 7), 2)
-    assert res.value == 5
-    assert res.witness_vertices() == [0, 1, 3, 4, 6]
-    assert res.nodes_explored < 19
+    # on the path 0-1-4-2-3 at k = 2 the rule fires below the root; the search
+    # without it, which took each free vertex in its own include branch,
+    # explored 10 nodes
+    res = limited_packing_bb(parse_graph6("D`W"), 2)
+    assert res.value == 4
+    assert res.witness_vertices() == [0, 1, 2, 3]
+    assert res.nodes_explored < 10
 
 
 def test_min_problem_witnesses_are_feasible():

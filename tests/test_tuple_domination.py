@@ -17,6 +17,8 @@ from limpack.corpus import (enumerate_tree_classes, labeled_class, parse_corpus_
                             random_connected)
 from limpack.solvers import GraphFacts, _Packing, _cover
 
+from sample_graphs import grid, hypercube
+
 
 def class_representatives() -> list[Graph]:
     first = {}
@@ -62,17 +64,6 @@ def test_demand_bound_sums_needs():
     res = _cover(rows, 2, 30)
     assert (res.value, res.nodes_explored) == (31, 1)
     assert _cover(rows, 2).value == 40
-
-
-def hypercube(d: int) -> Graph:
-    return Graph.from_edges(1 << d, [(v, v | 1 << b) for v in range(1 << d)
-                                     for b in range(d) if not v >> b & 1])
-
-
-def grid(rows: int, cols: int) -> Graph:
-    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
-    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
-    return Graph.from_edges(rows * cols, edges)
 
 
 def boundary_graphs() -> list[Graph]:
