@@ -297,13 +297,18 @@ def ng_upper_bound(n: int, k: int, max_degree: int, min_degree: int) -> tuple[st
     return "mixed", 2 * n - 1
 
 
-def nordhaus_gaddum(g: Graph, k: int, log: list | None = None) -> NGReport:
+def ng_refinement_bound(n: int, k: int) -> int | None:
+    """lem-ng-l2-n-plus-2: L_2(G) + L_2(complement) <= n + 2; None at other k."""
+    return n + 2 if k == 2 else None
+
+
+def nordhaus_gaddum(g: Graph, k: int, stats: dict | None = None) -> NGReport:
     """Exact L_k(G) + L_k(complement) with the matching case-split upper bound.
 
-    log, when a list, receives the GraphFacts record of the L_k(complement)
-    solve: its route and searches.
+    stats, when a dict, receives the GraphFacts records of the two solves:
+    "L<k>" and "L<k>_bar", the route and searches of L_k(complement).
     """
-    f = solvers.GraphFacts(g, log)
+    f = solvers.GraphFacts(g, stats)
     val, val_bar = f.lk(k), f.lk_bar(k)
     n = g.n
     degs = g.degrees()
@@ -314,7 +319,7 @@ def nordhaus_gaddum(g: Graph, k: int, log: list | None = None) -> NGReport:
         value=val, value_complement=val_bar, total=val + val_bar,
         lower_bound=lower, lower_applicable=lower_applicable,
         upper_bound=upper, case=case,
-        refinement_upper=n + 2 if k == 2 else None)
+        refinement_upper=ng_refinement_bound(n, k))
 
 
 def ng_lower_equality_condition(g: Graph, k: int) -> bool:
@@ -363,8 +368,9 @@ def regular_half(n: int, p: GraphProfile, k: int, lk: Callable[[int], int]) -> b
 
 def regular_equality_check(g: Graph, k: int) -> RegularEqualityResult:
     solvers._check_k(k)
-    n, p = g.n, profile(g)
-    verdict = regular_half(n, p, k, solvers.GraphFacts(g).lk)
+    f = solvers.GraphFacts(g)
+    n, p = g.n, f.profile
+    verdict = regular_half(n, p, k, f.lk)
     regular = n >= 1 and p.min_degree == p.max_degree
     d = p.max_degree if regular else None
     return RegularEqualityResult(regular, d, regular and k <= d, verdict is not None,

@@ -212,10 +212,11 @@ def _ev_l1_eq_gamma_trees(f: GraphFacts) -> Outcome:
 
 
 def _ev_ng_l2_n_plus_2(f: GraphFacts) -> Outcome:
+    cap = bounds.ng_refinement_bound(f.n, 2)
     total = f.lk(2) + f.lk_bar(2)
-    if total > f.n + 2:
-        return _bad(f"L_2(G)+L_2(complement)={total} > n+2={f.n + 2}")
-    return POSITIVE if total == f.n + 2 else PASS
+    if total > cap:
+        return _bad(f"L_2(G)+L_2(complement)={total} > n+2={cap}")
+    return POSITIVE if total == cap else PASS
 
 
 def _ev_class_g(f: GraphFacts) -> Outcome:

@@ -23,7 +23,7 @@ from .extremal import (build_from_spec, check_Lk_equals_k,
                        is_spider_below_max_degree, recognize_class_G,
                        recognize_class_T, recognize_spider)
 from .graphs import (EDGE_LIST_LIMIT, MAX_VERTICES, Graph, GraphFormatError, bits,
-                     emit_graph6, is_tree, parse_edge_list, parse_graph6, profile)
+                     emit_graph6, is_tree, parse_edge_list, parse_graph6)
 
 def _load_graph(spec: str) -> Graph:
     """graph6 text, or @path to a file holding graph6 or an 'n m' edge list.
@@ -94,30 +94,19 @@ def cmd_solve(args) -> int:
 
 def cmd_params(args) -> int:
     g = _load_graph(args.graph)
-    p = profile(g)
-    # one prepared search for L1..L3, as in GraphFacts
-    packing = solvers._Packing(g.closed)
-    solves = {
-        "L1": lambda: packing.solve(1),
-        "L2": lambda: packing.solve(2),
-        "L3": lambda: packing.solve(3),
-        "rho0": lambda: solvers.open_packing_number(g),
-        "gamma": lambda: solvers.domination_number(g),
-        "gamma_t": lambda: solvers.total_domination_number(g),
-    }
-    values, stats = {}, {}
-    for name, solve in solves.items():
-        try:
-            res, record = solvers.timed(solve)
-            values[name], stats[name] = res.value, {"method": res.method, **record}
-        except solvers.UndefinedParameterError:  # gamma_t with an isolated vertex
-            values[name] = stats[name] = None
+    stats: dict = {}
+    f = solvers.GraphFacts(g, stats)
+    values = {"L1": f.lk(1), "L2": f.lk(2), "L3": f.lk(3), "rho0": f.rho0, "gamma": f.gamma}
+    try:
+        values["gamma_t"] = f.gamma_t
+    except solvers.UndefinedParameterError:  # an isolated vertex
+        values["gamma_t"] = stats["gamma_t"] = None
     _emit({
         "graph6": emit_graph6(g),
         "n": g.n,
         "m": g.edge_count(),
         **values,
-        "profile": {**vars(p), "cut_vertices": list(bits(p.cut_vertices))},
+        "profile": {**vars(f.profile), "cut_vertices": list(bits(f.profile.cut_vertices))},
     })
     if args.stats:
         print(json.dumps(stats), file=sys.stderr)
@@ -132,10 +121,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_ng(args) -> int:
     g = _load_graph(args.graph)
-    log: list[dict] = []
-    _emit(bounds_mod.nordhaus_gaddum(g, args.k, log).as_dict())
+    stats: dict = {}
+    _emit(bounds_mod.nordhaus_gaddum(g, args.k, stats).as_dict())
     if args.stats:
-        print(json.dumps(log[0]), file=sys.stderr)
+        print(json.dumps(stats[f"L{args.k}_bar"]), file=sys.stderr)
     return 0
 
 

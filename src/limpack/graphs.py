@@ -169,9 +169,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def degrees(self) -> list[int]:
         return [nb.bit_count() for nb in self.adj]
 

@@ -369,16 +369,18 @@ class GraphFacts:
     j from a demand-j cover search capped at k + j, kept per j so that later
     k reuse it; gamma_{xj,t} - j never decreases, so the first j that fails ends
     the scan.  A denser G runs the packing search on the complement's closed
-    rows, prepared once for every k.  When log is a list, each lk_bar call
-    appends {"k", "route", "searches"}: the route ("tuple-domination", also
-    for n <= k and an isolated vertex, or "complement") and each search it ran
-    with its nodes_explored and elapsed_s.
+    rows, prepared once for every k.  With a stats dict, each solve is timed
+    (see timed) and its record kept under its fact's name: {"method",
+    "nodes_explored", "elapsed_s"} under "L1", "L2", ..., "rho0", "gamma" and
+    "gamma_t", and lk_bar(k)'s {"k", "route", "searches"} under "L<k>_bar":
+    the route ("tuple-domination", also for n <= k and an isolated vertex, or
+    "complement") and each search it ran with its nodes_explored and elapsed_s.
     """
 
-    def __init__(self, g: Graph, log: list | None = None):
+    def __init__(self, g: Graph, stats: dict | None = None):
         self.g = g
         self.n = g.n
-        self.log = log
+        self.stats = stats
         self._lk: dict[int, int] = {}
         self._lk_bar: dict[int, int] = {}
         self._tuple: dict[int, tuple[int, int]] = {}  # j: (search value, its cap)
@@ -395,7 +397,7 @@ class GraphFacts:
     def lk(self, k: int) -> int:
         if k not in self._lk:
             _check_k(k)
-            self._lk[k] = self._packing.solve(k).value
+            self._lk[k] = self._solve(f"L{k}", self._packing.solve, k).value
         return self._lk[k]
 
     @property
@@ -420,13 +422,13 @@ class GraphFacts:
         dense = 4 * g.edge_count() > n * (n - 1)
         route = "complement" if n > k and delta and dense else "tuple-domination"
         searches: list[dict] = []
-        if self.log is not None:
-            self.log.append({"k": k, "route": route, "searches": searches})
+        if self.stats is not None:
+            self.stats[f"L{k}_bar"] = {"k": k, "route": route, "searches": searches}
         if n <= k:
             return n
         if route == "complement":
-            return self._timed(searches, {"search": "packing", "rows": "complement", "k": k},
-                               lambda: self._bar_packing.solve(k)).value
+            searches.append({"search": "packing", "rows": "complement", "k": k})
+            return self._solve(searches[-1], self._bar_packing.solve, k).value
         j = 0
         while j < min(delta, n - k) and self._tuple_dominated(j + 1, k + j + 1, searches):
             j += 1
@@ -439,27 +441,30 @@ class GraphFacts:
             return self.gamma_t <= size
         value, cap = self._tuple.get(j, (size + 1, -1))
         if value > cap and cap < size:  # not exact, and not known to exceed size
-            record = {"search": "tuple-total-domination", "j": j, "cap": size}
-            value = self._timed(searches, record,
-                                lambda: _cover(self.g.adj, j, size)).value
+            searches.append({"search": "tuple-total-domination", "j": j, "cap": size})
+            value = self._solve(searches[-1], _cover, self.g.adj, j, size).value
             self._tuple[j] = value, size
         return value <= size
 
-    def _timed(self, searches: list[dict], record: dict, solve) -> SolveResult:
-        if self.log is None:
-            return solve()
-        res, stats = timed(solve)
-        searches.append({**record, **stats})
+    def _solve(self, record: str | dict, solve, *args) -> SolveResult:
+        """solve(*args), timed into stats under a fact's name, or into an
+        lk_bar search's own record, when stats is a dict."""
+        if self.stats is None:
+            return solve(*args)
+        res, timing = timed(lambda: solve(*args))
+        if isinstance(record, str):
+            self.stats[record] = record = {"method": res.method}
+        record.update(timing)
         return res
 
     @cached_property
     def gamma(self) -> int:
-        return domination_number(self.g).value
+        return self._solve("gamma", domination_number, self.g).value
 
     @cached_property
     def rho0(self) -> int:
-        return open_packing_number(self.g).value
+        return self._solve("rho0", open_packing_number, self.g).value
 
     @cached_property
     def gamma_t(self) -> int:
-        return total_domination_number(self.g).value
+        return self._solve("gamma_t", total_domination_number, self.g).value

@@ -8,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from limpack import build_from_spec, campaign, cli, emit_graph6
+from limpack import build_from_spec, campaign, cli, emit_graph6, parse_graph6, solvers
 from limpack.cli import main
+from limpack.corpus import enumerate_tree_classes, random_connected
 from limpack.graphs import EDGE_LIST_LIMIT
+from limpack.solvers import limited_packing_bb
+from sample_graphs import petersen
 
 
 def run(capsys, *argv):
@@ -77,6 +80,55 @@ def test_params_stats_on_stderr_only(capsys):
             assert list(entry) == ["method", "nodes_explored", "elapsed_s"]
             assert entry["method"] == "branch-and-bound"
             assert entry["nodes_explored"] >= 0 and entry["elapsed_s"] >= 0
+
+
+def test_params_stats_match_the_public_solvers_and_solve_each_fact_once(capsys, monkeypatch):
+    # params reads one GraphFacts: each fact is solved once, by the search its
+    # public solver runs, so --stats reports that solver's nodes_explored
+    tree = enumerate_tree_classes(8)[7]
+    graphs = [petersen(), parse_graph6("DhC"), parse_graph6("Ds?"), tree,
+              *random_connected(9, 1, 2501), *random_connected(12, 1, 2502, 0.3)]
+    expected = []
+    for g in graphs:
+        nodes = {f"L{k}": limited_packing_bb(g, k).nodes_explored for k in (1, 2, 3)}
+        nodes["rho0"] = solvers.open_packing_number(g).nodes_explored
+        nodes["gamma"] = solvers.domination_number(g).nodes_explored
+        try:
+            nodes["gamma_t"] = solvers.total_domination_number(g).nodes_explored
+        except solvers.UndefinedParameterError:
+            nodes["gamma_t"] = None
+        expected.append(nodes)
+    assert expected[2]["gamma_t"] is None     # Ds?, K_1,3 + K_1
+
+    solved = []   # (solver, rows, cap): the companions by name, L_k by its rows
+    packing_solve = solvers._Packing.solve
+
+    def counting_solve(self, cap):
+        solved.append(("packing", self.rows, cap))
+        return packing_solve(self, cap)
+
+    def counting(name, solve):
+        def wrapper(g):
+            solved.append((name, g.adj, None))
+            return solve(g)
+        return wrapper
+
+    monkeypatch.setattr(solvers._Packing, "solve", counting_solve)
+    for name in ("open_packing_number", "domination_number", "total_domination_number"):
+        monkeypatch.setattr(solvers, name, counting(name, getattr(solvers, name)))
+    for g, nodes in zip(graphs, expected):
+        del solved[:]
+        rc, out, err = run(capsys, "params", "--graph", emit_graph6(g), "--stats")
+        assert rc == 0
+        stats = json.loads(err)
+        assert {name: e and e["nodes_explored"] for name, e in stats.items()} == nodes, g
+        # L1..L3 on the closed rows, and each companion, once; the open rows'
+        # packing search is open_packing_number's own
+        assert sorted((name, cap) for name, rows, cap in solved if rows != g.adj) == [
+            ("packing", 1), ("packing", 2), ("packing", 3)], g
+        assert sorted(name for name, rows, cap in solved if rows == g.adj) == [
+            "domination_number", "open_packing_number", "packing",
+            "total_domination_number"], g
 
 
 def test_ng_stats_on_stderr_only(capsys):

@@ -297,11 +297,12 @@ def test_graph_facts_reads_every_k_from_one_prepared_search(monkeypatch):
     graphs = list(first.values()) + [petersen(), Graph.empty(0), construct_family("cycle", 9)]
     graphs += [g for n in range(8, 17) for g in random_connected(n, 4, 1500 + n, 0.3)]
     for g in graphs:
-        log = []
-        facts = GraphFacts(g, log)
+        stats = {}
+        facts = GraphFacts(g, stats)
         del builds[:]
         ks = (4, 1, 3, 2)   # not in order: the prepared search keeps no per-k state
         got = [(facts.lk(k), facts.lk_bar(k)) for k in ks]
+        log = [stats[f"L{k}_bar"] for k in ks]
         # one search for G, and one for its complement once lk_bar takes that route
         assert len(builds) == 1 + any(rec["route"] == "complement" for rec in log)
         assert got == [(limited_packing_bb(g, k).value, limited_packing_bb(complement(g), k).value)

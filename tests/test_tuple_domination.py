@@ -89,14 +89,14 @@ def test_lk_bar_matches_complement_packing():
     routes = set()
     boundaries = set()
     for g in graphs:
-        log = []
-        facts = GraphFacts(g, log)
+        stats = {}
+        facts = GraphFacts(g, stats)
         bar = _Packing(complement(g).closed)
         for k in (1, 2, 3, 4):
             assert facts.lk_bar(k) == bar.solve(k).value, (g, k)
             if g.n in (k, k + 1):
-                boundaries.add((g.n - k, log[-1]["route"]))
-        routes |= {rec["route"] for rec in log}
+                boundaries.add((g.n - k, stats[f"L{k}_bar"]["route"]))
+        routes |= {rec["route"] for rec in stats.values()}
     assert routes == {"tuple-domination", "complement"}
     # n <= k needs no search; n = k + 1 is reached on both routes
     assert boundaries == {(0, "tuple-domination"), (1, "tuple-domination"), (1, "complement")}
@@ -106,19 +106,21 @@ def test_lk_bar_shares_tuple_searches_across_k():
     # each demand j is searched again only with a larger cap, and a known
     # gamma_t answers j = 1 without a search
     for g in [g for n in range(8, 17) for g in random_connected(n, 3, 2000 + n, 0.2)]:
-        log = []
-        facts = GraphFacts(g, log)
+        stats = {}
+        facts = GraphFacts(g, stats)
         for k in (1, 2, 3, 4):
             facts.lk_bar(k)
+        log = list(stats.values())
         assert all(rec["route"] == "tuple-domination" for rec in log), g
         caps = {}
         for s in (s for rec in log for s in rec["searches"]):
             assert s["cap"] > caps.get(s["j"], 0), g
             caps[s["j"]] = s["cap"]
-        log = []
-        facts = GraphFacts(g, log)
+        stats = {}
+        facts = GraphFacts(g, stats)
         facts.gamma_t
         facts.lk_bar(2)
+        log = [stats["L2_bar"]]
         assert all(s["j"] >= 2 for s in log[0]["searches"]), g
 
 
