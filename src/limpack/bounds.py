@@ -4,11 +4,15 @@ Each bound is one Bound row of the BOUNDS table: its hypothesis, its value as
 a rational, and the statement it belongs to.  bound_report lists the rows as
 BoundEntry records whose hypothesis was actually checked against the graph
 profile; entries whose hypothesis fails carry applicable=False and no value.
-The campaign derives its evaluators for the same statements from the same
-rows.  Bounds derived from gamma, L_1, or rho0 read them from an aux object:
-bound_report and the campaign both pass a solvers.GraphFacts, which solves
-each on its first read; bound_report's exact L_k and the Nordhaus-Gaddum
-sums read the same cache.
+The campaign judges every per-graph statement by rows of the same type: the
+statements made only of panel rows by the rows citing them here, the rest
+by campaign.CAMPAIGN_ROWS, whose rows may bound another fact than L_k (say
+L_k(G) + L_k(complement)), carry a structural iff test, and reuse panel
+rows.  A row's slack is how far its fact stands from breaking it.  Bounds
+derived from gamma, L_1, or rho0 read them from an aux object: bound_report
+and the campaign both pass a solvers.GraphFacts, which solves each on its
+first read; bound_report's exact L_k and the Nordhaus-Gaddum sums read the
+same cache.
 """
 from __future__ import annotations
 
@@ -70,19 +74,31 @@ def closed_form(family: str, params, k: int) -> int:
 
 @dataclass(frozen=True)
 class Bound:
-    """One hypothesis-gated bound on L_k.
+    """One hypothesis-gated bound on a fact of the graph, L_k unless fact says.
 
     applies, num and den take (n, p, k, aux): the order, the GraphProfile, k,
-    and an object whose gamma, l1 and rho0 attributes give the exact companion
-    parameters (a solvers.GraphFacts solves each on its first read, so num
+    and an object whose lk, lk_bar, gamma, l1, rho0 and gamma_t give the
+    exact values (a solvers.GraphFacts solves each on its first read, so num
     reads one only once applies holds).  value() is the one rounding: num/den
-    inward, up for lower bounds and down for upper ones; den=None marks an
-    integral bound, and only fractional bounds show their raw rational.  tie
-    is the campaign's positive case: "value" (L_k equals the value), "raw"
-    (L_k equals num/den), or "any" (every substantive check).
+    inward, up for lower bounds and down for the rest; den=None marks an
+    integral bound, and only fractional bounds show their raw rational.
+
+    The panel's rows bound L_k.  The campaign's rows may also set:
+    - fact, taking (n, p, k, aux): the value bounded, in place of L_k;
+    - direction "iff": a row that bounds nothing and only carries iff;
+    - iff, taking (n, p, k, aux): a structural test that holds exactly when
+      the fact equals the value;
+    - text and iff_text, the violation texts when the fact breaks the value
+      and when iff disagrees: a format string over the names n, k, p, a (the
+      aux), fact, value, num, den, shown (num or num/den), op, id, held (the
+      iff test) and witness ("found" or "absent" by held), or a callable
+      taking them as attributes where a format string cannot say it.  The
+      default text speaks of L_k, so a row whose fact is not L_k has its own.
+    tie is the campaign's positive case: "value" (the fact equals the value),
+    "raw" (it equals num/den), "any" (every substantive check) or "none".
     """
     id: str
-    direction: str          # "lower" | "upper" | "exact"
+    direction: str          # "lower" | "upper" | "exact" | "iff"
     hypothesis: str
     citation: str           # theorem-registry id of the statement it belongs to
     applies: Callable
@@ -90,12 +106,34 @@ class Bound:
     den: Callable | None = None
     tie: str = "value"
     listed: Callable = lambda k: True   # whether it covers k; panel and campaign skip it elsewhere
+    fact: Callable | None = None
+    iff: Callable | None = None
+    text: str | Callable = "L_{k}={fact} {op} {id}={shown}"
+    iff_text: str | Callable | None = None
 
     def value(self, n: int, p: GraphProfile, k: int, aux) -> tuple[int, int, int]:
         """(value, num, den): the bound once its hypothesis holds."""
         num = self.num(n, p, k, aux)
         den = 1 if self.den is None else self.den(n, p, k, aux)
         return (-(-num // den) if self.direction == "lower" else num // den), num, den
+
+    def slack(self, n: int, p: GraphProfile, k: int, aux) -> int:
+        """How far the fact stands from breaking the row, once its hypothesis
+        holds: fact - value for a lower row, value - fact for an upper one,
+        -|fact - value| for an exact or an iff one.  An iff test, where a row
+        has one, also bounds it: by -|fact - value| where the test holds, and
+        where it fails, when the fact must differ from the value, by
+        |fact - value|, or -1 if they are equal.  Negative exactly on a
+        violation, and 0 exactly where the fact equals the value and any iff
+        test holds.
+        """
+        gap = (aux.lk(k) if self.fact is None else self.fact(n, p, k, aux)) \
+            - self.value(n, p, k, aux)[0]
+        slack = {"lower": gap, "upper": -gap}.get(self.direction, -abs(gap))
+        if self.iff is None:
+            return slack
+        tested = -abs(gap) if self.iff(n, p, k, aux) else abs(gap) or -1
+        return tested if self.direction == "iff" else min(slack, tested)
 
     def entry(self, n: int, p: GraphProfile, k: int, aux) -> BoundEntry:
         if not self.applies(n, p, k, aux):
@@ -355,23 +393,22 @@ class RegularEqualityResult:
     passed: bool
 
 
-def regular_half(n: int, p: GraphProfile, k: int, lk: Callable[[int], int]) -> bool | None:
-    """cor-regular-half on one graph: a d-regular graph with k <= d whose L_k
-    attains the order/degree bound n+k-1-d has 2d >= n.  Returns None when the
-    premise fails, else whether the conclusion holds; lk(k) is only called
-    once the graph is d-regular with k <= d."""
+def regular_premise(n: int, p: GraphProfile, k: int, lk: Callable[[int], int]) -> bool:
+    """cor-regular-half's premise: the graph is d-regular with k <= d and its
+    L_k attains the order/degree bound n+k-1-d (the conclusion is 2d >= n);
+    lk(k) is only called once the graph is d-regular with k <= d."""
     d = p.max_degree
-    if n < 1 or p.min_degree != d or k > d or lk(k) != _ORDER_DEGREE.value(n, p, k, None)[0]:
-        return None
-    return 2 * d >= n
+    return (n >= 1 and p.min_degree == d and k <= d
+            and lk(k) == _ORDER_DEGREE.value(n, p, k, None)[0])
 
 
 def regular_equality_check(g: Graph, k: int) -> RegularEqualityResult:
     solvers._check_k(k)
     f = solvers.GraphFacts(g)
     n, p = g.n, f.profile
-    verdict = regular_half(n, p, k, f.lk)
+    premise = regular_premise(n, p, k, f.lk)
     regular = n >= 1 and p.min_degree == p.max_degree
     d = p.max_degree if regular else None
-    return RegularEqualityResult(regular, d, regular and k <= d, verdict is not None,
-                                 regular and 2 * d >= n, verdict is None, verdict is not False)
+    conclusion = regular and 2 * d >= n
+    return RegularEqualityResult(regular, d, regular and k <= d, premise, conclusion,
+                                 not premise, not premise or conclusion)

@@ -2,10 +2,14 @@
 
 Every registered statement id maps to an evaluator.  Per-graph evaluators run
 against each corpus graph (once, or once per k); standalone evaluators sweep
-their own constructed instances.  A check is "substantive" when the statement's
-hypothesis held, and "positive" when its sharp side was exercised: membership
-for characterizations, a tight value for inequalities, a satisfied premise for
-exact-conclusion implications.
+their own constructed instances.  A per-graph statement is a tuple of
+bounds.Bound rows, its CAMPAIGN_ROWS entry or else the panel rows citing
+it, kept as its evaluator's rows and judged by one rule (_derived).  A row
+is skipped where it is not listed at k or its hypothesis fails, and is
+otherwise substantive.  It is a violation where its fact breaks its value,
+or else where its iff test disagrees with whether the two are equal;
+otherwise it is positive on its tie.  A statement joins its rows'
+violation texts in row order, and is positive when one of its rows is.
 
 Evaluators compare structure against exact solver output, so a violation is
 evidence of an implementation bug and carries both sides plus the graph6
@@ -14,12 +18,14 @@ string for standalone replay.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
+from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from . import bounds, solvers
+from .bounds import Bound
 from .corpus import CLASS_LIMIT, labeled_class
 from .extremal import (check_Lk_equals_k, construct_comb, construct_diam2,
                        construct_family, construct_spider,
@@ -60,24 +66,136 @@ class Evaluator:
     fn: Callable | None = None
     supplements: Callable | None = None
     runner: Callable | None = None             # standalone: yields (graph, row) pairs
+    rows: tuple[Bound, ...] = ()               # per-graph: the rows fn checks, in order
 
 
 # ---------------------------------------------------------------------------
-# evaluators derived from the bound table
+# the campaign-only rows
+
+(_CHAIN,) = bounds.bounds_for("lem-monotone-chain")
+(_L1_RATIO,) = bounds.bounds_for("prop-l1-l2-sandwich")
+_RHO0_LOWER, _RHO0_UPPER = bounds.bounds_for("th-classT-characterization")
+
+
+def _tree2(n, p, k, a):
+    return p.is_tree and n >= 2
+
+
+def _sum(n, p, k, a):
+    return a.lk(k) + a.lk_bar(k)
+
+
+def _ng_upper(n, k, p):
+    return bounds.ng_upper_bound(n, k, p.max_degree, p.min_degree)
+
+
+def _spider_outside(s):
+    return f"L_2={s.fact} outside [L_1+1, 2L_1]=[{s.a.l1 + 1}, {2 * s.a.l1}]"
+
+
+def _class_t_outside(s):
+    return f"L_2={s.fact} outside [rho0, 2*rho0]=[{s.a.rho0}, {2 * s.a.rho0}]"
+
+
+# statement id -> its rows in order; every other statement is the panel rows citing it
+CAMPAIGN_ROWS: dict[str, tuple[Bound, ...]] = {
+    "lem-monotone-chain": (
+        Bound("step-lower", "lower", "max_degree >= k", "lem-monotone-chain",
+              lambda n, p, k, a: k <= p.max_degree, lambda n, p, k, a: a.lk(k) + 1,
+              fact=lambda n, p, k, a: a.lk(k + 1), tie="any",
+              text=lambda s: f"L_{s.k + 1}={s.fact} < L_{s.k}+1={s.value}"),
+        replace(_CHAIN, tie="any", text="L_{k}={fact} < L_1+k-1={value}")),
+    "th-lk-eq-k-characterization": (
+        Bound("lk-eq-k", "iff", "always", "th-lk-eq-k-characterization", lambda *_: True,
+              lambda n, p, k, a: k, iff=lambda n, p, k, a: check_Lk_equals_k(a.g, k),
+              iff_text="L_{k}={fact} but structural test says {held}"),),
+    "cor-diam-le-2": (
+        Bound("diam-le-2", "upper", "n >= k+1 and L_k == k", "cor-diam-le-2",
+              lambda n, p, k, a: n >= k + 1 and a.lk(k) == k, lambda *_: 2, tie="any",
+              fact=lambda n, p, k, a: p.diameter if p.connected else 3,  # disconnected: above 2
+              text="L_{k}=k on order {n} but diameter={p.diameter}"),),
+    "cor-regular-half": (
+        Bound("regular-half", "lower", "d-regular, k <= d and L_k == n+k-1-d",
+              "cor-regular-half", lambda n, p, k, a: bounds.regular_premise(n, p, k, a.lk),
+              lambda n, p, k, a: n, fact=lambda n, p, k, a: 2 * p.max_degree, tie="any",
+              text="{p.max_degree}-regular with L_{k}=n+k-1-d but 2d={fact} < n={n}"),),
+    "prop-ng-lower": (
+        Bound("ng-lower", "lower", "n >= k", "prop-ng-lower",
+              lambda n, p, k, a: bounds.ng_lower_bound(n, k)[1],
+              lambda n, p, k, a: bounds.ng_lower_bound(n, k)[0], fact=_sum,
+              iff=lambda n, p, k, a: bounds.ng_lower_equality_condition(a.g, k),
+              text="L_{k}(G)+L_{k}(complement)={fact} < 2k={value}",
+              iff_text="sum={fact} vs 2k={value}, structural equality condition={held}"),),
+    "th-ng-upper": (
+        Bound("ng-upper", "upper", "always", "th-ng-upper",
+              lambda *_: True, lambda n, p, k, a: _ng_upper(n, k, p)[1], fact=_sum,
+              text=lambda s: f"L_{s.k}(G)+L_{s.k}(complement)={s.fact} > "
+                             f"{_ng_upper(s.n, s.k, s.p)[0]} bound={s.value}"),),
+    "lem-ng-l2-n-plus-2": (
+        Bound("ng-l2-upper", "upper", "k == 2", "lem-ng-l2-n-plus-2",
+              lambda *_: True, lambda n, p, k, a: bounds.ng_refinement_bound(n, k), fact=_sum,
+              text="L_{k}(G)+L_{k}(complement)={fact} > n+2={value}"),),
+    "lem-l1-eq-1-iff-diam2": (
+        Bound("l1-eq-1", "iff", "k == 1", "lem-l1-eq-1-iff-diam2", lambda *_: True, lambda *_: 1,
+              iff=lambda n, p, k, a: bounds.connected(n, p) and p.diameter <= 2,
+              iff_text="L_1={fact} but diameter={p.diameter}"),),
+    "lem-open-packing-diam2": (
+        Bound("rho0-le-2", "upper", "connected and diameter <= 2", "lem-open-packing-diam2",
+              lambda n, p, k, a: bounds.connected(n, p) and p.diameter <= 2, lambda *_: 2,
+              fact=_RHO0_LOWER.num, tie="any", text="rho0={fact} > 2 at diameter={p.diameter}"),),
+    "lem-rho-eq-gammat-trees": (
+        Bound("rho0-eq-gamma_t", "exact", "tree and n >= 2", "lem-rho-eq-gammat-trees",
+              _tree2, lambda n, p, k, a: a.gamma_t, fact=_RHO0_LOWER.num, tie="any",
+              text="tree with rho0={fact} != gamma_t={value}"),),
+    "lem-l1-eq-gamma-trees": (
+        Bound("l1-eq-gamma", "exact", "tree and k == 1", "lem-l1-eq-gamma-trees",
+              lambda n, p, k, a: p.is_tree, lambda n, p, k, a: a.gamma, tie="any",
+              text="tree with L_1={fact} != gamma={value}"),),
+    "cor-classG": (
+        Bound("class-g", "iff", "k == 2", "cor-classG", lambda *_: True, bounds._ORDER_DEGREE.num,
+              iff=lambda n, p, k, a: recognize_class_G(a.g) is not None,
+              iff_text="L_2={fact} vs n+1-max_degree={value}, witness {witness}"),),
+    "prop-l1-l2-sandwich": (
+        replace(_CHAIN, text="L_{k}={fact} < L_1+1={value}"),
+        replace(_L1_RATIO, tie="none",
+                text="L_{k}={fact} exceeds 2(max_degree^2+1)L_1/(min_degree+1)={num}/{den}")),
+    "th-spider-characterization": (
+        replace(_CHAIN, applies=_tree2, tie="none", text=_spider_outside),
+        Bound("double-l1-upper", "upper", "tree, n >= 2 and k == 2", "th-spider-characterization",
+              _tree2, lambda n, p, k, a: 2 * a.l1, tie="none", text=_spider_outside),
+        Bound("spider", "iff", "tree, n >= 2 and k == 2", "th-spider-characterization",
+              _tree2, lambda *_: 1, fact=lambda n, p, k, a: a.lk(2) - a.l1,
+              iff=lambda n, p, k, a: is_spider_below_max_degree(a.g),
+              iff_text="L_2-L_1={fact} but spider-below-max-degree={held}")),
+    "th-classT-characterization": (
+        replace(_RHO0_LOWER, applies=_tree2, tie="none", text=_class_t_outside),
+        replace(_RHO0_UPPER, applies=_tree2, tie="none", text=_class_t_outside),
+        Bound("class-t", "iff", "tree, n >= 2 and k == 2", "th-classT-characterization",
+              _tree2, _RHO0_LOWER.num, iff=lambda n, p, k, a: recognize_class_T(a.g) is not None,
+              iff_text="rho0={value}, L_2={fact} but witness {witness}")),
+}
+
+
+# ---------------------------------------------------------------------------
+# the one evaluator of a per-graph statement
 
 _BROKEN = {"lower": "<", "upper": ">", "exact": "!="}
+_BELOW, _ABOVE = ("lower", "exact"), ("upper", "exact")
 
 
-def _derived(citation: str, once_k: int | None = None) -> Evaluator:
-    """Evaluator for a statement made of bound-table rows.
+def _say(text, b: Bound, f: GraphFacts, k: int, fact, value, num, den, held=None) -> str:
+    """A row's violation text; its names are gathered only on a violation."""
+    s = SimpleNamespace(n=f.n, p=f.profile, k=k, a=f, fact=fact, value=value, num=num, den=den,
+                        shown=num if b.den is None else f"{num}/{den}", id=b.id, held=held,
+                        op=_BROKEN.get(b.direction), witness="found" if held else "absent")
+    return text(s) if callable(text) else text.format_map(vars(s))
 
-    A check is substantive where a listed row's hypothesis holds, a violation
-    where L_k breaks the row's Bound.value, the value the panel prints, and
-    positive on the row's tie rule.  once_k fixes k for one-k statements.
-    """
-    rows = bounds.bounds_for(citation)
+
+def _derived(tid: str, once_k: int | None = None, supplements=None) -> Evaluator:
+    """The evaluator of a statement's rows by the module's one rule; once_k fixes k."""
+    rows = CAMPAIGN_ROWS.get(tid) or bounds.bounds_for(tid)
     if not rows:
-        raise ValueError(f"no bound-table row cites {citation}")
+        raise ValueError(f"no campaign row and no bound-table row for {tid}")
 
     def evaluate(f: GraphFacts, k: int = once_k) -> Outcome:
         n, p = f.n, f.profile
@@ -85,198 +203,20 @@ def _derived(citation: str, once_k: int | None = None) -> Evaluator:
         for b in rows:
             if not b.listed(k) or not b.applies(n, p, k, f):
                 continue
+            fact = f.lk(k) if b.fact is None else b.fact(n, p, k, f)
             value, num, den = b.value(n, p, k, f)
-            lk = f.lk(k)
-            if lk < value and b.direction != "upper" or lk > value and b.direction != "lower":
-                shown = num if b.den is None else f"{num}/{den}"
-                fails.append(f"L_{k}={lk} {_BROKEN[b.direction]} {b.id}={shown}")
-            elif b.tie == "any" or (lk * den == num if b.tie == "raw" else lk == value):
+            if fact < value and b.direction in _BELOW or fact > value and b.direction in _ABOVE:
+                fails.append(_say(b.text, b, f, k, fact, value, num, den))
+            elif b.iff is not None and (held := b.iff(n, p, k, f)) != (fact == value):
+                fails.append(_say(b.iff_text, b, f, k, fact, value, num, den, held))
+            elif (b.tie == "any" or fact == value and b.tie == "value"
+                  or b.tie == "raw" and fact * den == num):
                 outcome = POSITIVE
             elif outcome is SKIP:
                 outcome = PASS
         return _bad("; ".join(fails)) if fails else outcome
 
-    return Evaluator("per_k" if once_k is None else "once", fn=evaluate)
-
-
-(_CHAIN,) = bounds.bounds_for("lem-monotone-chain")
-(_ORDER_DEGREE,) = bounds.bounds_for("th-order-degree-upper")
-(_L1_RATIO,) = bounds.bounds_for("prop-l1-l2-sandwich")
-_CLASS_T = bounds.bounds_for("th-classT-characterization")
-
-
-# ---------------------------------------------------------------------------
-# hand-written per-k evaluators
-
-def _ev_monotone_chain(f: GraphFacts, k: int) -> Outcome:
-    n, p = f.n, f.profile
-    substantive = False
-    fails = []
-    if k <= p.max_degree:
-        substantive = True
-        if f.lk(k + 1) < f.lk(k) + 1:
-            fails.append(f"L_{k + 1}={f.lk(k + 1)} < L_{k}+1={f.lk(k) + 1}")
-    if _CHAIN.applies(n, p, k, f):
-        substantive = True
-        need = _CHAIN.value(n, p, k, f)[0]
-        if f.lk(k) < need:
-            fails.append(f"L_{k}={f.lk(k)} < L_1+k-1={need}")
-    if not substantive:
-        return SKIP
-    return _bad("; ".join(fails)) if fails else POSITIVE
-
-
-def _ev_lk_eq_k_characterization(f: GraphFacts, k: int) -> Outcome:
-    semantic = f.lk(k) == k
-    structural = check_Lk_equals_k(f.g, k)
-    if semantic != structural:
-        return _bad(f"L_{k}={f.lk(k)} but structural test says {structural}")
-    return POSITIVE if semantic else PASS
-
-
-def _ev_diam_le_2(f: GraphFacts, k: int) -> Outcome:
-    if f.n < k + 1 or f.lk(k) != k:
-        return SKIP
-    p = f.profile
-    if p.diameter is None or p.diameter > 2:
-        return _bad(f"L_{k}=k on order {f.n} but diameter={p.diameter}")
-    return POSITIVE
-
-
-def _ev_regular_half(f: GraphFacts, k: int) -> Outcome:
-    verdict = bounds.regular_half(f.n, f.profile, k, f.lk)
-    if verdict is None:
-        return SKIP
-    if not verdict:
-        d = f.profile.max_degree
-        return _bad(f"{d}-regular with L_{k}=n+k-1-d but 2d={2 * d} < n={f.n}")
-    return POSITIVE
-
-
-def _ev_ng_lower(f: GraphFacts, k: int) -> Outcome:
-    lower, applies = bounds.ng_lower_bound(f.n, k)
-    if not applies:
-        return SKIP
-    total = f.lk(k) + f.lk_bar(k)
-    if total < lower:
-        return _bad(f"L_{k}(G)+L_{k}(complement)={total} < 2k={lower}")
-    cond = bounds.ng_lower_equality_condition(f.g, k)
-    if (total == lower) != cond:
-        return _bad(f"sum={total} vs 2k={lower}, structural equality condition={cond}")
-    return POSITIVE if total == lower else PASS
-
-
-def _ev_ng_upper(f: GraphFacts, k: int) -> Outcome:
-    p = f.profile
-    case, cap = bounds.ng_upper_bound(f.n, k, p.max_degree, p.min_degree)
-    total = f.lk(k) + f.lk_bar(k)
-    if total > cap:
-        return _bad(f"L_{k}(G)+L_{k}(complement)={total} > {case} bound={cap}")
-    return POSITIVE if total == cap else PASS
-
-
-# ---------------------------------------------------------------------------
-# hand-written once-per-graph evaluators (these fix their own k)
-
-def _ev_l1_eq_1_iff_diam2(f: GraphFacts) -> Outcome:
-    p = f.profile
-    small = bounds.connected(f.n, p) and p.diameter <= 2
-    if (f.lk(1) == 1) != small:
-        return _bad(f"L_1={f.lk(1)} but diameter={p.diameter}")
-    return POSITIVE if f.lk(1) == 1 else PASS
-
-
-def _ev_open_packing_diam2(f: GraphFacts) -> Outcome:
-    p = f.profile
-    if not bounds.connected(f.n, p) or p.diameter > 2:
-        return SKIP
-    if f.rho0 > 2:
-        return _bad(f"rho0={f.rho0} > 2 at diameter={p.diameter}")
-    return POSITIVE
-
-
-def _ev_rho_eq_gammat_trees(f: GraphFacts) -> Outcome:
-    if not f.profile.is_tree or f.n < 2:
-        return SKIP
-    if f.rho0 != f.gamma_t:
-        return _bad(f"tree with rho0={f.rho0} != gamma_t={f.gamma_t}")
-    return POSITIVE
-
-
-def _ev_l1_eq_gamma_trees(f: GraphFacts) -> Outcome:
-    if not f.profile.is_tree:
-        return SKIP
-    if f.lk(1) != f.gamma:
-        return _bad(f"tree with L_1={f.lk(1)} != gamma={f.gamma}")
-    return POSITIVE
-
-
-def _ev_ng_l2_n_plus_2(f: GraphFacts) -> Outcome:
-    cap = bounds.ng_refinement_bound(f.n, 2)
-    total = f.lk(2) + f.lk_bar(2)
-    if total > cap:
-        return _bad(f"L_2(G)+L_2(complement)={total} > n+2={cap}")
-    return POSITIVE if total == cap else PASS
-
-
-def _ev_class_g(f: GraphFacts) -> Outcome:
-    target = _ORDER_DEGREE.value(f.n, f.profile, 2, f)[0]
-    semantic = f.lk(2) == target
-    member = recognize_class_G(f.g) is not None
-    if semantic != member:
-        return _bad(f"L_2={f.lk(2)} vs n+1-max_degree={target}, "
-                    f"witness {'found' if member else 'absent'}")
-    return POSITIVE if semantic else PASS
-
-
-def _ev_l1_l2_sandwich(f: GraphFacts) -> Outcome:
-    n, p = f.n, f.profile
-    if not _L1_RATIO.applies(n, p, 2, f):
-        return SKIP
-    lower = _CHAIN.value(n, p, 2, f)[0]
-    upper, num, den = _L1_RATIO.value(n, p, 2, f)
-    l2 = f.lk(2)
-    fails = []
-    if l2 < lower:
-        fails.append(f"L_2={l2} < L_1+1={lower}")
-    if l2 > upper:
-        fails.append(f"L_2={l2} exceeds 2(max_degree^2+1)L_1/(min_degree+1)={num}/{den}")
-    if fails:
-        return _bad("; ".join(fails))
-    return POSITIVE if l2 == lower else PASS
-
-
-def _ev_spider_characterization(f: GraphFacts) -> Outcome:
-    p = f.profile
-    if not p.is_tree or f.n < 2:
-        return SKIP
-    l1, l2 = f.lk(1), f.lk(2)
-    member = is_spider_below_max_degree(f.g)
-    fails = []
-    if not l1 + 1 <= l2 <= 2 * l1:
-        fails.append(f"L_2={l2} outside [L_1+1, 2L_1]=[{l1 + 1}, {2 * l1}]")
-    if (l2 == l1 + 1) != member:
-        fails.append(f"L_2-L_1={l2 - l1} but spider-below-max-degree={member}")
-    if fails:
-        return _bad("; ".join(fails))
-    return POSITIVE if member else PASS
-
-
-def _ev_class_t_characterization(f: GraphFacts) -> Outcome:
-    p = f.profile
-    if not p.is_tree or f.n < 2:
-        return SKIP
-    lo, hi = (b.value(f.n, p, 2, f)[0] for b in _CLASS_T)
-    l2 = f.lk(2)
-    member = recognize_class_T(f.g) is not None
-    fails = []
-    if not lo <= l2 <= hi:
-        fails.append(f"L_2={l2} outside [rho0, 2*rho0]=[{lo}, {hi}]")
-    if (lo == l2) != member:
-        fails.append(f"rho0={lo}, L_2={l2} but witness {'found' if member else 'absent'}")
-    if fails:
-        return _bad("; ".join(fails))
-    return POSITIVE if member else PASS
+    return Evaluator("per_k" if once_k is None else "once", evaluate, supplements, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +232,16 @@ _FORMULA_FAMILIES = {
 
 
 def _formula_run(family: str, sizes):
-    """Yield each family member and its row: the oracle against the closed formula, k = 1..4."""
+    """Yield each family member and its row: exact L_k against the closed formula, k = 1..4."""
     for size in sizes:
-        g = construct_family(family, size)
+        f = GraphFacts(construct_family(family, size))
         label = f"{family} n={size}" if isinstance(size, int) else f"{family} {size[0]},{size[1]}"
         bad = []
         for k in (1, 2, 3, 4):
             expect = bounds.closed_form(family, size, k)
-            got = solvers.limited_packing_oracle(g, k).value
-            if got != expect:
-                bad.append((k, f"{label}: oracle={got}, formula={expect}"))
-        yield g, (4, 4 - len(bad), tuple(bad))
+            if f.lk(k) != expect:
+                bad.append((k, f"{label}: L_{k}={f.lk(k)}, formula={expect}"))
+        yield f.g, (4, 4 - len(bad), tuple(bad))
 
 
 def _run_diam2_construction():
@@ -351,27 +290,27 @@ REGISTRY: dict[str, Evaluator] = {
        for tid, (family, sizes) in _FORMULA_FAMILIES.items()},
     "lem-kgamma": _derived("lem-kgamma"),
     "lem-delta-upper": _derived("lem-delta-upper"),
-    "lem-monotone-chain": Evaluator("per_k", fn=_ev_monotone_chain),
-    "lem-l1-eq-1-iff-diam2": Evaluator("once", fn=_ev_l1_eq_1_iff_diam2),
-    "lem-open-packing-diam2": Evaluator("once", fn=_ev_open_packing_diam2),
-    "lem-rho-eq-gammat-trees": Evaluator("once", fn=_ev_rho_eq_gammat_trees),
-    "lem-l1-eq-gamma-trees": Evaluator("once", fn=_ev_l1_eq_gamma_trees),
+    "lem-monotone-chain": _derived("lem-monotone-chain"),
+    "lem-l1-eq-1-iff-diam2": _derived("lem-l1-eq-1-iff-diam2", once_k=1),
+    "lem-open-packing-diam2": _derived("lem-open-packing-diam2", once_k=1),
+    "lem-rho-eq-gammat-trees": _derived("lem-rho-eq-gammat-trees", once_k=1),
+    "lem-l1-eq-gamma-trees": _derived("lem-l1-eq-gamma-trees", once_k=1),
     "lem-diam-lower-k12": _derived("lem-diam-lower-k12"),
-    "lem-ng-l2-n-plus-2": Evaluator("once", fn=_ev_ng_l2_n_plus_2),
+    "lem-ng-l2-n-plus-2": _derived("lem-ng-l2-n-plus-2", once_k=2),
     "lem-l1-maxdeg-lower": _derived("lem-l1-maxdeg-lower", once_k=1),
     "prop-small-order": _derived("prop-small-order"),
     "prop-order-kplus1": _derived("prop-order-kplus1"),
     "prop-lk-geq-k": _derived("prop-lk-geq-k"),
-    "th-lk-eq-k-characterization": Evaluator("per_k", fn=_ev_lk_eq_k_characterization),
-    "cor-diam-le-2": Evaluator("per_k", fn=_ev_diam_le_2),
+    "th-lk-eq-k-characterization": _derived("th-lk-eq-k-characterization"),
+    "cor-diam-le-2": _derived("cor-diam-le-2"),
     "th-diam-lower-k3": _derived("th-diam-lower-k3"),
     "th-girth-l1": _derived("th-girth-l1", once_k=1),
     "th-girth-l2-lk": _derived("th-girth-l2-lk"),
     "th-order-degree-upper": _derived("th-order-degree-upper"),
-    "cor-classG": Evaluator("once", fn=_ev_class_g),
-    "cor-regular-half": Evaluator("per_k", fn=_ev_regular_half),
-    "prop-ng-lower": Evaluator("per_k", fn=_ev_ng_lower),
-    "th-ng-upper": Evaluator("per_k", fn=_ev_ng_upper),
+    "cor-classG": _derived("cor-classG", once_k=2),
+    "cor-regular-half": _derived("cor-regular-half"),
+    "prop-ng-lower": _derived("prop-ng-lower"),
+    "th-ng-upper": _derived("th-ng-upper"),
     "lem-45-upper": _derived("lem-45-upper", once_k=2),
     "lem-kk1-upper": _derived("lem-kk1-upper"),
     "th-tree-deltaprime": _derived("th-tree-deltaprime", once_k=2),
@@ -380,11 +319,11 @@ REGISTRY: dict[str, Evaluator] = {
     "lem-cutvertex-diam2": _derived("lem-cutvertex-diam2", once_k=2),
     "th-improved-diam-upper": _derived("th-improved-diam-upper", once_k=2),
     "lem-openpack-sandwich": _derived("lem-openpack-sandwich", once_k=1),
-    "prop-l1-l2-sandwich": Evaluator("once", fn=_ev_l1_l2_sandwich),
-    "th-spider-characterization": Evaluator("once", fn=_ev_spider_characterization,
-                                            supplements=_spider_supplements),
-    "th-classT-characterization": Evaluator("once", fn=_ev_class_t_characterization,
-                                            supplements=_class_t_supplements),
+    "prop-l1-l2-sandwich": _derived("prop-l1-l2-sandwich", once_k=2),
+    "th-spider-characterization": _derived("th-spider-characterization", once_k=2,
+                                           supplements=_spider_supplements),
+    "th-classT-characterization": _derived("th-classT-characterization", once_k=2,
+                                           supplements=_class_t_supplements),
     "th-prescribed-construction": Evaluator("standalone", runner=_run_prescribed_construction),
 }
 

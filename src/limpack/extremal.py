@@ -64,37 +64,25 @@ class ClassGWitness:
     b0: int  # bitmask
 
 
-def _class_g_witness_ok(g: Graph, a0: int, b0: int) -> bool:
-    if (a0 | b0) != g.full_mask or (a0 & b0).bit_count() != 2:
-        return False
-    # spanning star inside A0
-    if not any(a0 & ~g.closed[c] == 0 for c in bits(a0)):
-        return False
-    # components of the induced B0 are single vertices or single edges
-    for v in bits(b0):
-        if (g.adj[v] & b0).bit_count() > 1:
-            return False
-    # vertices outside B0 see at most two B0 vertices
-    for v in bits(g.full_mask & ~b0):
-        if (g.adj[v] & b0).bit_count() > 2:
-            return False
-    return True
-
-
 def recognize_class_G(g: Graph) -> ClassGWitness | None:
     """Find an (A0, B0) witness, or None.
+
+    A witness is a pair of vertex sets with four properties: A0 and B0
+    cover V and share exactly two vertices; A0 holds a spanning star (a
+    vertex adjacent to the rest of A0); every B0 vertex has at most one
+    neighbour in B0; and every vertex outside B0 has at most two.
 
     The search only tries A0 == N[v] for maximum-degree v: any witness has a
     spanning-star centre of maximum degree whose closed neighbourhood is
     exactly A0, so this is complete.  Each such v, in ascending order, tries
     the pairs {a, b} of A0 in combinations order, B0 = R | {a, b} with
-    R = V - N[v], and returns the first that _class_g_witness_ok accepts.
-    Its first two conditions hold for every such pair (v is the star
-    centre); its last two say that a vertex sees at most one B0 vertex if it
-    lies in B0, else at most two.  A vertex other than a and b sees its
-    R-neighbours and whichever of a and b it is adjacent to, so with ge1,
-    ge2 and ge3 the vertices with at least one, two and three R-neighbours
-    (built once per v) those conditions read:
+    R = V - N[v], and returns the first that is a witness.  The first two
+    properties hold for every such pair (v is the star centre); the last two
+    say that a vertex sees at most one B0 vertex if it lies in B0, else at
+    most two.  A vertex other than a and b sees its R-neighbours and
+    whichever of a and b it is adjacent to, so with ge1, ge2 and ge3 the
+    vertices with at least one, two and three R-neighbours (built once per
+    v) those conditions read:
     - an R vertex in ge2 or an A0 vertex in ge3 fails every pair: skip v;
     - a and b lie in B0, so outside ge2;
     - tight = (R & ge1) | ge2, the other vertices already at their limit,

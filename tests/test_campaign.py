@@ -6,9 +6,11 @@ import pytest
 import limpack.bounds as bounds_mod
 import limpack.campaign as campaign_mod
 from limpack import Graph, build_from_spec, emit_graph6, profile
-from limpack.campaign import (ALL_THEOREM_IDS, REGISTRY, SKIP, Evaluator, GraphFacts,
-                              Outcome, replay_violation, run_campaign)
-from limpack.corpus import labeled_class, parse_corpus_spec
+from limpack.bounds import BOUNDS, Bound
+from limpack.campaign import (ALL_THEOREM_IDS, CAMPAIGN_ROWS, REGISTRY, SKIP, Evaluator,
+                              GraphFacts, Outcome, replay_violation, run_campaign)
+from limpack.corpus import (enumerate_labeled_graphs, labeled_class, parse_corpus_spec,
+                            tree_classes_by_order)
 
 EXPECTED_IDS = (
     "cor-classG",
@@ -132,7 +134,7 @@ def test_standalone_sweep_violations(monkeypatch):
     assert (v.graphs_checked, v.substantive_checks, v.positive_cases) == (12, 48, 36)
     assert len(v.violations) == 12
     assert v.violations[0] == {"graph6": emit_graph6(Graph.empty(1)), "k": 2,
-                               "detail": "path n=1: oracle=1, formula=2"}
+                               "detail": "path n=1: L_2=1, formula=2"}
 
 
 def test_replay_violation_real_id():
@@ -323,10 +325,11 @@ def test_multiplicity_tally_matches_graph_by_graph(monkeypatch):
 
 
 def test_per_graph_path_makes_no_oracle_call(monkeypatch):
+    # no statement reaches the oracle, the formula sweeps included
     def refuse(g, k):
         raise AssertionError("the subset oracle was called")
     monkeypatch.setattr(campaign_mod.solvers, "limited_packing_oracle", refuse)
-    ids = [tid for tid, ev in REGISTRY.items() if ev.kind != "standalone"]
+    ids = ALL_THEOREM_IDS
     corpus = parse_corpus_spec("all_labeled(5)+random_connected(n=8..12,10,seed=1)")
     report = run_campaign(ids, corpus, (1, 2, 3))
     assert not report.failed and report.classes_evaluated == 52 + 10
@@ -405,7 +408,7 @@ def test_repeated_rows_without_class_key_match_graph_by_graph(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# each hand-written evaluator's violation branch, reached by one planted fact
+# each campaign-only statement's violation texts, reached by one planted fact
 
 def _planted(spec: str, lk=None, lk_bar=None, **values) -> GraphFacts:
     """GraphFacts of a built graph with some values set before any is solved:
@@ -466,6 +469,61 @@ def test_planted_fact_reaches_violation_branch(tid, spec, k, planted, detail):
 
 
 def test_planted_cases_cover_every_hand_written_evaluator():
-    hand_written = {tid for tid, ev in REGISTRY.items()
-                    if ev.kind != "standalone" and ev.fn.__name__.startswith("_ev_")}
-    assert {case[0] for case in PLANTED} == hand_written
+    # the statements once written by hand are those with campaign-only rows
+    assert {case[0] for case in PLANTED} == set(CAMPAIGN_ROWS)
+    assert len(CAMPAIGN_ROWS) == 15
+
+
+def test_campaign_rows_are_well_formed():
+    for tid, rows in CAMPAIGN_ROWS.items():
+        assert tid in REGISTRY and REGISTRY[tid].rows == rows, tid
+    rows = [b for ev in REGISTRY.values() for b in ev.rows] + list(BOUNDS)
+    for b in rows:
+        assert b.direction in ("lower", "upper", "exact", "iff"), b.id
+        assert b.tie in ("value", "raw", "any", "none"), b.id
+        assert (b.iff is not None) == (b.iff_text is not None), b.id
+        if b.direction == "iff":
+            assert b.iff is not None, b.id
+        elif b.fact is not None:
+            assert b.text != Bound.text, b.id      # the default text says L_k
+
+
+def _shifted(base: GraphFacts, shift: int, shift_bar: int) -> GraphFacts:
+    """base's graph with L_k moved by shift and L_k(complement) by shift_bar, k = 1..6."""
+    f = GraphFacts(base.g)
+    f.__dict__["profile"] = base.profile
+    f._lk.update({k: base.lk(k) + shift for k in range(1, 7)})
+    f._lk_bar.update({k: base.lk_bar(k) + shift_bar for k in range(1, 6)})
+    return f
+
+
+def test_slack_is_negative_exactly_on_a_violation():
+    graphs = [g for n in range(1, 7) for g in enumerate_labeled_graphs(n)]
+    graphs = list({labeled_class(g): g for g in reversed(graphs)}.values())
+    assert len(graphs) == 208
+    graphs += [t for reps in tree_classes_by_order(9) for t in reps]
+    cases = [_shifted(base, s, s_bar) for base in map(GraphFacts, graphs)
+             for s in (-1, 0, 1) for s_bar in (-1, 0, 1)]
+    cases += [_planted(spec, **planted) for _, spec, _, planted, _ in PLANTED]
+    statements = [(tid, ev) for tid, ev in REGISTRY.items() if ev.kind != "standalone"]
+    assert len(statements) == 33
+    violations = ties = 0
+    for f in cases:
+        n, p = f.n, f.profile
+        for tid, ev in statements:
+            for k in (ev.fn.__defaults__ if ev.kind == "once" else range(1, 6)):
+                out = ev.fn(f, k)
+                rows = [b for b in ev.rows if b.listed(k) and b.applies(n, p, k, f)]
+                slacks = [b.slack(n, p, k, f) for b in rows]
+                assert out.substantive == bool(rows), (tid, f.g, k)
+                assert (out.detail is not None) == any(s < 0 for s in slacks), (tid, f.g, k)
+                violations += out.detail is not None
+                if out.detail is not None:
+                    continue
+                fact = f.lk(k)
+                positive = any(b.tie == "any" or b.tie == "value" and s == 0
+                               or b.tie == "raw" and fact * b.den(n, p, k, f) == b.num(n, p, k, f)
+                               for b, s in zip(rows, slacks))
+                assert out.positive == positive, (tid, f.g, k)
+                ties += out.positive
+    assert violations and ties

@@ -14,8 +14,7 @@ from limpack import (Graph, bits, build_from_spec, check_Lk_equals_k,
                      recognize_class_T, recognize_spider, spider_shapes)
 from limpack.corpus import (enumerate_labeled_graphs, enumerate_labeled_trees,
                             enumerate_tree_classes, prufer_decode, random_connected)
-from limpack.extremal import (ClassGWitness, SpiderShape, _class_g_witness_ok,
-                              _class_t_witness_ok)
+from limpack.extremal import ClassGWitness, SpiderShape, _class_t_witness_ok
 from limpack.graphs import mask_of
 
 
@@ -78,10 +77,28 @@ def test_class_g_matches_semantic_exhaustive():
             assert member == semantic, g.edges()
 
 
+def class_g_witness_ok(g: Graph, a0: int, b0: int) -> bool:
+    """Whether (a0, b0) is a class-G witness, by recognize_class_G's four properties."""
+    if (a0 | b0) != g.full_mask or (a0 & b0).bit_count() != 2:
+        return False
+    # spanning star inside A0
+    if not any(a0 & ~g.closed[c] == 0 for c in bits(a0)):
+        return False
+    # components of the induced B0 are single vertices or single edges
+    for v in bits(b0):
+        if (g.adj[v] & b0).bit_count() > 1:
+            return False
+    # vertices outside B0 see at most two B0 vertices
+    for v in bits(g.full_mask & ~b0):
+        if (g.adj[v] & b0).bit_count() > 2:
+            return False
+    return True
+
+
 def class_g_by_scan(g):
     """Class-G membership by trying every A0 subset and every pair in it."""
     full = g.full_mask
-    return any(_class_g_witness_ok(g, a0, (full & ~a0) | mask_of(pair))
+    return any(class_g_witness_ok(g, a0, (full & ~a0) | mask_of(pair))
                for a0 in range(1, 1 << g.n) for pair in combinations(list(bits(a0)), 2))
 
 
@@ -95,7 +112,7 @@ def test_class_g_bounded_matches_exhaustive_search():
 
 
 def class_g_by_pair_walks(g):
-    """The recognizer's search with each pair checked by _class_g_witness_ok."""
+    """The recognizer's search with each pair checked by class_g_witness_ok."""
     full = g.full_mask
     degs = g.degrees()
     dmax = max(degs, default=0)
@@ -106,7 +123,7 @@ def class_g_by_pair_walks(g):
         ends = [u for u in bits(a0) if (g.adj[u] & ~a0).bit_count() <= 1]
         for pair in combinations(ends, 2):
             b0 = (full & ~a0) | mask_of(pair)
-            if _class_g_witness_ok(g, a0, b0):
+            if class_g_witness_ok(g, a0, b0):
                 return ClassGWitness(a0, b0)
     return None
 
@@ -124,7 +141,7 @@ def test_class_g_mask_test_finds_the_same_witness():
         got = recognize_class_G(g)
         assert got == class_g_by_pair_walks(g), g.edges()
         if got is not None:
-            assert _class_g_witness_ok(g, got.a0, got.b0), g.edges()
+            assert class_g_witness_ok(g, got.a0, got.b0), g.edges()
             members += 1
     assert 0 < members < len(graphs)
 
