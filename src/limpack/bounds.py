@@ -84,16 +84,13 @@ class Bound:
     integral bound, and only fractional bounds show their raw rational.
 
     The panel's rows bound L_k.  The campaign's rows may also set:
-    - fact, taking (n, p, k, aux): the value bounded, in place of L_k;
+    - fact, taking (n, p, k, aux): the value bounded, in place of L_k, and
+      fact_name, its name in a violation text: a format string over k;
     - direction "iff": a row that bounds nothing and only carries iff;
     - iff, taking (n, p, k, aux): a structural test that holds exactly when
-      the fact equals the value;
-    - text and iff_text, the violation texts when the fact breaks the value
-      and when iff disagrees: a format string over the names n, k, p, a (the
-      aux), fact, value, num, den, shown (num or num/den), op, id, held (the
-      iff test) and witness ("found" or "absent" by held), or a callable
-      taking them as attributes where a format string cannot say it.  The
-      default text speaks of L_k, so a row whose fact is not L_k has its own.
+      the fact equals the value.
+    Every row's violation text is the campaign's one text, which names the
+    fact by fact_name and the value by the row's id.
     tie is the campaign's positive case: "value" (the fact equals the value),
     "raw" (it equals num/den), "any" (every substantive check) or "none".
     """
@@ -108,8 +105,7 @@ class Bound:
     listed: Callable = lambda k: True   # whether it covers k; panel and campaign skip it elsewhere
     fact: Callable | None = None
     iff: Callable | None = None
-    text: str | Callable = "L_{k}={fact} {op} {id}={shown}"
-    iff_text: str | Callable | None = None
+    fact_name: str = "L_{k}"
 
     def value(self, n: int, p: GraphProfile, k: int, aux) -> tuple[int, int, int]:
         """(value, num, den): the bound once its hypothesis holds."""

@@ -8,8 +8,8 @@ it, kept as its evaluator's rows and judged by one rule (_derived).  A row
 is skipped where it is not listed at k or its hypothesis fails, and is
 otherwise substantive.  It is a violation where its fact breaks its value,
 or else where its iff test disagrees with whether the two are equal;
-otherwise it is positive on its tie.  A statement joins its rows'
-violation texts in row order, and is positive when one of its rows is.
+otherwise it is positive on its tie.  A statement joins its rows' one
+violation text (_say) in row order, and is positive when one row is.
 
 Evaluators compare structure against exact solver output, so a violation is
 evidence of an implementation bug and carries both sides plus the graph6
@@ -21,7 +21,6 @@ import json
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
-from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from . import bounds, solvers
@@ -85,94 +84,71 @@ def _sum(n, p, k, a):
     return a.lk(k) + a.lk_bar(k)
 
 
-def _ng_upper(n, k, p):
-    return bounds.ng_upper_bound(n, k, p.max_degree, p.min_degree)
-
-
-def _spider_outside(s):
-    return f"L_2={s.fact} outside [L_1+1, 2L_1]=[{s.a.l1 + 1}, {2 * s.a.l1}]"
-
-
-def _class_t_outside(s):
-    return f"L_2={s.fact} outside [rho0, 2*rho0]=[{s.a.rho0}, {2 * s.a.rho0}]"
-
+_SUM = "L_{k}(G)+L_{k}(complement)"
 
 # statement id -> its rows in order; every other statement is the panel rows citing it
 CAMPAIGN_ROWS: dict[str, tuple[Bound, ...]] = {
     "lem-monotone-chain": (
         Bound("step-lower", "lower", "max_degree >= k", "lem-monotone-chain",
               lambda n, p, k, a: k <= p.max_degree, lambda n, p, k, a: a.lk(k) + 1,
-              fact=lambda n, p, k, a: a.lk(k + 1), tie="any",
-              text=lambda s: f"L_{s.k + 1}={s.fact} < L_{s.k}+1={s.value}"),
-        replace(_CHAIN, tie="any", text="L_{k}={fact} < L_1+k-1={value}")),
+              fact=lambda n, p, k, a: a.lk(k + 1), tie="any", fact_name="L_{{k+1}}"),
+        replace(_CHAIN, tie="any")),
     "th-lk-eq-k-characterization": (
         Bound("lk-eq-k", "iff", "always", "th-lk-eq-k-characterization", lambda *_: True,
-              lambda n, p, k, a: k, iff=lambda n, p, k, a: check_Lk_equals_k(a.g, k),
-              iff_text="L_{k}={fact} but structural test says {held}"),),
+              lambda n, p, k, a: k, iff=lambda n, p, k, a: check_Lk_equals_k(a.g, k)),),
     "cor-diam-le-2": (
         Bound("diam-le-2", "upper", "n >= k+1 and L_k == k", "cor-diam-le-2",
               lambda n, p, k, a: n >= k + 1 and a.lk(k) == k, lambda *_: 2, tie="any",
               fact=lambda n, p, k, a: p.diameter if p.connected else 3,  # disconnected: above 2
-              text="L_{k}=k on order {n} but diameter={p.diameter}"),),
+              fact_name="diameter"),),
     "cor-regular-half": (
         Bound("regular-half", "lower", "d-regular, k <= d and L_k == n+k-1-d",
               "cor-regular-half", lambda n, p, k, a: bounds.regular_premise(n, p, k, a.lk),
               lambda n, p, k, a: n, fact=lambda n, p, k, a: 2 * p.max_degree, tie="any",
-              text="{p.max_degree}-regular with L_{k}=n+k-1-d but 2d={fact} < n={n}"),),
+              fact_name="2*max_degree"),),
     "prop-ng-lower": (
         Bound("ng-lower", "lower", "n >= k", "prop-ng-lower",
               lambda n, p, k, a: bounds.ng_lower_bound(n, k)[1],
-              lambda n, p, k, a: bounds.ng_lower_bound(n, k)[0], fact=_sum,
-              iff=lambda n, p, k, a: bounds.ng_lower_equality_condition(a.g, k),
-              text="L_{k}(G)+L_{k}(complement)={fact} < 2k={value}",
-              iff_text="sum={fact} vs 2k={value}, structural equality condition={held}"),),
+              lambda n, p, k, a: bounds.ng_lower_bound(n, k)[0], fact=_sum, fact_name=_SUM,
+              iff=lambda n, p, k, a: bounds.ng_lower_equality_condition(a.g, k)),),
     "th-ng-upper": (
-        Bound("ng-upper", "upper", "always", "th-ng-upper",
-              lambda *_: True, lambda n, p, k, a: _ng_upper(n, k, p)[1], fact=_sum,
-              text=lambda s: f"L_{s.k}(G)+L_{s.k}(complement)={s.fact} > "
-                             f"{_ng_upper(s.n, s.k, s.p)[0]} bound={s.value}"),),
+        Bound("ng-upper", "upper", "always", "th-ng-upper", lambda *_: True,
+              lambda n, p, k, a: bounds.ng_upper_bound(n, k, p.max_degree, p.min_degree)[1],
+              fact=_sum, fact_name=_SUM),),
     "lem-ng-l2-n-plus-2": (
         Bound("ng-l2-upper", "upper", "k == 2", "lem-ng-l2-n-plus-2",
               lambda *_: True, lambda n, p, k, a: bounds.ng_refinement_bound(n, k), fact=_sum,
-              text="L_{k}(G)+L_{k}(complement)={fact} > n+2={value}"),),
+              fact_name=_SUM),),
     "lem-l1-eq-1-iff-diam2": (
         Bound("l1-eq-1", "iff", "k == 1", "lem-l1-eq-1-iff-diam2", lambda *_: True, lambda *_: 1,
-              iff=lambda n, p, k, a: bounds.connected(n, p) and p.diameter <= 2,
-              iff_text="L_1={fact} but diameter={p.diameter}"),),
+              iff=lambda n, p, k, a: bounds.connected(n, p) and p.diameter <= 2),),
     "lem-open-packing-diam2": (
         Bound("rho0-le-2", "upper", "connected and diameter <= 2", "lem-open-packing-diam2",
               lambda n, p, k, a: bounds.connected(n, p) and p.diameter <= 2, lambda *_: 2,
-              fact=_RHO0_LOWER.num, tie="any", text="rho0={fact} > 2 at diameter={p.diameter}"),),
+              fact=_RHO0_LOWER.num, tie="any", fact_name="rho0"),),
     "lem-rho-eq-gammat-trees": (
         Bound("rho0-eq-gamma_t", "exact", "tree and n >= 2", "lem-rho-eq-gammat-trees",
               _tree2, lambda n, p, k, a: a.gamma_t, fact=_RHO0_LOWER.num, tie="any",
-              text="tree with rho0={fact} != gamma_t={value}"),),
+              fact_name="rho0"),),
     "lem-l1-eq-gamma-trees": (
         Bound("l1-eq-gamma", "exact", "tree and k == 1", "lem-l1-eq-gamma-trees",
-              lambda n, p, k, a: p.is_tree, lambda n, p, k, a: a.gamma, tie="any",
-              text="tree with L_1={fact} != gamma={value}"),),
+              lambda n, p, k, a: p.is_tree, lambda n, p, k, a: a.gamma, tie="any"),),
     "cor-classG": (
         Bound("class-g", "iff", "k == 2", "cor-classG", lambda *_: True, bounds._ORDER_DEGREE.num,
-              iff=lambda n, p, k, a: recognize_class_G(a.g) is not None,
-              iff_text="L_2={fact} vs n+1-max_degree={value}, witness {witness}"),),
-    "prop-l1-l2-sandwich": (
-        replace(_CHAIN, text="L_{k}={fact} < L_1+1={value}"),
-        replace(_L1_RATIO, tie="none",
-                text="L_{k}={fact} exceeds 2(max_degree^2+1)L_1/(min_degree+1)={num}/{den}")),
+              iff=lambda n, p, k, a: recognize_class_G(a.g) is not None),),
+    "prop-l1-l2-sandwich": (_CHAIN, replace(_L1_RATIO, tie="none")),
     "th-spider-characterization": (
-        replace(_CHAIN, applies=_tree2, tie="none", text=_spider_outside),
+        replace(_CHAIN, applies=_tree2, tie="none"),
         Bound("double-l1-upper", "upper", "tree, n >= 2 and k == 2", "th-spider-characterization",
-              _tree2, lambda n, p, k, a: 2 * a.l1, tie="none", text=_spider_outside),
+              _tree2, lambda n, p, k, a: 2 * a.l1, tie="none"),
         Bound("spider", "iff", "tree, n >= 2 and k == 2", "th-spider-characterization",
-              _tree2, lambda *_: 1, fact=lambda n, p, k, a: a.lk(2) - a.l1,
-              iff=lambda n, p, k, a: is_spider_below_max_degree(a.g),
-              iff_text="L_2-L_1={fact} but spider-below-max-degree={held}")),
+              _tree2, lambda *_: 1, fact=lambda n, p, k, a: a.lk(2) - a.l1, fact_name="L_2-L_1",
+              iff=lambda n, p, k, a: is_spider_below_max_degree(a.g))),
     "th-classT-characterization": (
-        replace(_RHO0_LOWER, applies=_tree2, tie="none", text=_class_t_outside),
-        replace(_RHO0_UPPER, applies=_tree2, tie="none", text=_class_t_outside),
+        replace(_RHO0_LOWER, applies=_tree2, tie="none"),
+        replace(_RHO0_UPPER, applies=_tree2, tie="none"),
         Bound("class-t", "iff", "tree, n >= 2 and k == 2", "th-classT-characterization",
-              _tree2, _RHO0_LOWER.num, iff=lambda n, p, k, a: recognize_class_T(a.g) is not None,
-              iff_text="rho0={value}, L_2={fact} but witness {witness}")),
+              _tree2, _RHO0_LOWER.num, iff=lambda n, p, k, a: recognize_class_T(a.g) is not None)),
 }
 
 
@@ -183,12 +159,11 @@ _BROKEN = {"lower": "<", "upper": ">", "exact": "!="}
 _BELOW, _ABOVE = ("lower", "exact"), ("upper", "exact")
 
 
-def _say(text, b: Bound, f: GraphFacts, k: int, fact, value, num, den, held=None) -> str:
-    """A row's violation text; its names are gathered only on a violation."""
-    s = SimpleNamespace(n=f.n, p=f.profile, k=k, a=f, fact=fact, value=value, num=num, den=den,
-                        shown=num if b.den is None else f"{num}/{den}", id=b.id, held=held,
-                        op=_BROKEN.get(b.direction), witness="found" if held else "absent")
-    return text(s) if callable(text) else text.format_map(vars(s))
+def _say(b: Bound, k: int, fact: int, num: int, den: int, held: bool | None = None) -> str:
+    """A row's violation text: its fact breaks its value, or else its iff test says held."""
+    op = _BROKEN[b.direction] if held is None else "vs"
+    said = f"{b.fact_name.format(k=k)}={fact} {op} {b.id}={num if b.den is None else f'{num}/{den}'}"
+    return said if held is None else f"{said} but structural test says {held}"
 
 
 def _derived(tid: str, once_k: int | None = None, supplements=None) -> Evaluator:
@@ -206,9 +181,9 @@ def _derived(tid: str, once_k: int | None = None, supplements=None) -> Evaluator
             fact = f.lk(k) if b.fact is None else b.fact(n, p, k, f)
             value, num, den = b.value(n, p, k, f)
             if fact < value and b.direction in _BELOW or fact > value and b.direction in _ABOVE:
-                fails.append(_say(b.text, b, f, k, fact, value, num, den))
+                fails.append(_say(b, k, fact, num, den))
             elif b.iff is not None and (held := b.iff(n, p, k, f)) != (fact == value):
-                fails.append(_say(b.iff_text, b, f, k, fact, value, num, den, held))
+                fails.append(_say(b, k, fact, num, den, held))
             elif (b.tie == "any" or fact == value and b.tie == "value"
                   or b.tie == "raw" and fact * den == num):
                 outcome = POSITIVE
@@ -511,16 +486,18 @@ def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
 
 def replay_violation(theorem_id: str, graph6: str, k: int | None = None) -> Outcome:
     """Re-run one evaluator on one graph, standalone from a violation record;
-    a per-k evaluator needs the record's k, >= 1 as in run_campaign."""
+    a per-k evaluator needs the record's k, and any k given is >= 1 as in
+    run_campaign."""
     if theorem_id not in REGISTRY:
         raise ValueError(f"unknown theorem id: {theorem_id}")
     ev = REGISTRY[theorem_id]
     if ev.kind == "standalone":
         raise ValueError(f"{theorem_id} sweeps its own instances; rerun the campaign entry")
+    if k is not None:
+        solvers._check_k(k)
     facts = GraphFacts(parse_graph6(graph6))
     if ev.kind == "once":
         return ev.fn(facts)
     if k is None:
         raise ValueError(f"{theorem_id} is checked per k; pass the k from the record")
-    solvers._check_k(k)
     return ev.fn(facts, k)

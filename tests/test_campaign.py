@@ -1,5 +1,6 @@
 """Verification-campaign registry, report shape, and violation handling."""
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -149,7 +150,8 @@ def test_replay_violation_real_id():
 
 
 def test_replay_violation_rejects_k_below_one():
-    for tid in ("lem-kgamma", "th-girth-l2-lk", "lem-monotone-chain"):
+    for tid in ("lem-kgamma", "th-girth-l2-lk", "lem-monotone-chain", "cor-classG",
+                "lem-l1-eq-gamma-trees"):
         for k in (0, -1):
             with pytest.raises(ValueError, match=rf"^k must be >= 1, got {k}$"):
                 replay_violation(tid, "DhC", k)
@@ -421,50 +423,52 @@ def _planted(spec: str, lk=None, lk_bar=None, **values) -> GraphFacts:
 
 
 PLANTED = [  # id, graph, k (None: a once evaluator), planted facts, violation detail
-    ("lem-monotone-chain", "path:3", 1, {"lk": {2: 1}}, "L_2=1 < L_1+1=2"),
-    ("lem-monotone-chain", "path:3", 2, {"lk": {2: 1}}, "L_2=1 < L_1+k-1=2"),
+    ("lem-monotone-chain", "path:3", 1, {"lk": {2: 1}}, "L_{k+1}=1 < step-lower=2"),
+    ("lem-monotone-chain", "path:3", 2, {"lk": {2: 1}}, "L_2=1 < chain-lower=2"),
     ("th-lk-eq-k-characterization", "cycle:5", 2, {"lk": {2: 2}},
-     "L_2=2 but structural test says False"),
-    ("cor-diam-le-2", "path:4", 1, {"lk": {1: 1}}, "L_1=k on order 4 but diameter=3"),
-    ("cor-regular-half", "cycle:5", 1, {"lk": {1: 3}},
-     "2-regular with L_1=n+k-1-d but 2d=4 < n=5"),
+     "L_2=2 vs lk-eq-k=2 but structural test says False"),
+    ("cor-diam-le-2", "path:4", 1, {"lk": {1: 1}}, "diameter=3 > diam-le-2=2"),
+    ("cor-regular-half", "cycle:5", 1, {"lk": {1: 3}}, "2*max_degree=4 < regular-half=5"),
     ("prop-ng-lower", "path:3", 2, {"lk": {2: 1}, "lk_bar": {2: 1}},
-     "L_2(G)+L_2(complement)=2 < 2k=4"),
+     "L_2(G)+L_2(complement)=2 < ng-lower=4"),
     ("prop-ng-lower", "path:3", 1, {"lk_bar": {1: 1}},
-     "sum=2 vs 2k=2, structural equality condition=False"),
-    ("th-ng-upper", "path:3", 2, {"lk": {2: 3}}, "L_2(G)+L_2(complement)=6 > mixed bound=5"),
-    ("lem-ng-l2-n-plus-2", "path:3", None, {"lk": {2: 3}}, "L_2(G)+L_2(complement)=6 > n+2=5"),
-    ("lem-l1-eq-1-iff-diam2", "path:3", None, {"lk": {1: 2}}, "L_1=2 but diameter=2"),
-    ("lem-open-packing-diam2", "path:3", None, {"rho0": 3}, "rho0=3 > 2 at diameter=2"),
-    ("lem-rho-eq-gammat-trees", "path:3", None, {"rho0": 3}, "tree with rho0=3 != gamma_t=2"),
-    ("lem-l1-eq-gamma-trees", "path:3", None, {"gamma": 2}, "tree with L_1=1 != gamma=2"),
-    ("cor-classG", "path:3", None, {"lk": {2: 3}}, "L_2=3 vs n+1-max_degree=2, witness found"),
-    ("prop-l1-l2-sandwich", "path:3", None, {"lk": {2: 1}}, "L_2=1 < L_1+1=2"),
-    ("prop-l1-l2-sandwich", "path:3", None, {"lk": {2: 6}},
-     "L_2=6 exceeds 2(max_degree^2+1)L_1/(min_degree+1)=10/2"),
-    ("th-spider-characterization", "path:5", None, {"lk": {2: 5}},
-     "L_2=5 outside [L_1+1, 2L_1]=[3, 4]"),
+     "L_1(G)+L_1(complement)=2 vs ng-lower=2 but structural test says False"),
+    ("th-ng-upper", "path:3", 2, {"lk": {2: 3}}, "L_2(G)+L_2(complement)=6 > ng-upper=5"),
+    ("lem-ng-l2-n-plus-2", "path:3", None, {"lk": {2: 3}},
+     "L_2(G)+L_2(complement)=6 > ng-l2-upper=5"),
+    ("lem-l1-eq-1-iff-diam2", "path:3", None, {"lk": {1: 2}},
+     "L_1=2 vs l1-eq-1=1 but structural test says True"),
+    ("lem-open-packing-diam2", "path:3", None, {"rho0": 3}, "rho0=3 > rho0-le-2=2"),
+    ("lem-rho-eq-gammat-trees", "path:3", None, {"rho0": 3}, "rho0=3 != rho0-eq-gamma_t=2"),
+    ("lem-l1-eq-gamma-trees", "path:3", None, {"gamma": 2}, "L_1=1 != l1-eq-gamma=2"),
+    ("cor-classG", "path:3", None, {"lk": {2: 3}},
+     "L_2=3 vs class-g=2 but structural test says True"),
+    ("prop-l1-l2-sandwich", "path:3", None, {"lk": {2: 1}}, "L_2=1 < chain-lower=2"),
+    ("prop-l1-l2-sandwich", "path:3", None, {"lk": {2: 6}}, "L_2=6 > l1-ratio-upper=10/2"),
+    ("th-spider-characterization", "path:5", None, {"lk": {2: 5}}, "L_2=5 > double-l1-upper=4"),
     ("th-spider-characterization", "path:4", None, {"lk": {2: 4}},
-     "L_2-L_1=2 but spider-below-max-degree=True"),
+     "L_2-L_1=2 vs spider=1 but structural test says True"),
     ("th-spider-characterization", "path:4", None, {"lk": {2: 5}},
-     "L_2=5 outside [L_1+1, 2L_1]=[3, 4]; L_2-L_1=3 but spider-below-max-degree=True"),
+     "L_2=5 > double-l1-upper=4; L_2-L_1=3 vs spider=1 but structural test says True"),
     ("th-classT-characterization", "path:4", None, {"lk": {2: 5}},
-     "L_2=5 outside [rho0, 2*rho0]=[2, 4]"),
+     "L_2=5 > double-openpack-upper=4"),
     ("th-classT-characterization", "path:3", None, {"lk": {2: 3}},
-     "rho0=2, L_2=3 but witness found"),
+     "L_2=3 vs class-t=2 but structural test says True"),
     ("th-classT-characterization", "path:3", None, {"lk": {2: 5}},
-     "L_2=5 outside [rho0, 2*rho0]=[2, 4]; rho0=2, L_2=5 but witness found"),
+     "L_2=5 > double-openpack-upper=4; L_2=5 vs class-t=2 but structural test says True"),
 ]
+
+
+def _planted_outcome(tid: str, spec: str, k, planted: dict) -> Outcome:
+    return REGISTRY[tid].fn(_planted(spec, **planted), *(() if k is None else (k,)))
 
 
 @pytest.mark.parametrize("tid, spec, k, planted, detail", PLANTED)
 def test_planted_fact_reaches_violation_branch(tid, spec, k, planted, detail):
     # a campaign finds a bug only through these branches: one wrong solver value
     # must surface as a substantive outcome with its detail
-    evaluate = REGISTRY[tid].fn
-    args = () if k is None else (k,)
-    assert evaluate(_planted(spec), *args).detail is None
-    out = evaluate(_planted(spec, **planted), *args)
+    assert _planted_outcome(tid, spec, k, {}).detail is None
+    out = _planted_outcome(tid, spec, k, planted)
     assert out.substantive and out.detail == detail
 
 
@@ -481,11 +485,10 @@ def test_campaign_rows_are_well_formed():
     for b in rows:
         assert b.direction in ("lower", "upper", "exact", "iff"), b.id
         assert b.tie in ("value", "raw", "any", "none"), b.id
-        assert (b.iff is not None) == (b.iff_text is not None), b.id
         if b.direction == "iff":
             assert b.iff is not None, b.id
-        elif b.fact is not None:
-            assert b.text != Bound.text, b.id      # the default text says L_k
+        if b.fact is not None:
+            assert b.fact_name != Bound.fact_name, b.id      # the default name says L_k
 
 
 def _shifted(base: GraphFacts, shift: int, shift_bar: int) -> GraphFacts:
@@ -497,7 +500,10 @@ def _shifted(base: GraphFacts, shift: int, shift_bar: int) -> GraphFacts:
     return f
 
 
-def test_slack_is_negative_exactly_on_a_violation():
+def _checks():
+    """(id, evaluator, facts, k) for every per-graph statement on the 208 classes of
+    order <= 6 and the tree classes of order <= 9, with L_k and L_k(complement) each
+    shifted by -1, 0 and +1, then on the planted facts: at k = 1..5, or at its own k."""
     graphs = [g for n in range(1, 7) for g in enumerate_labeled_graphs(n)]
     graphs = list({labeled_class(g): g for g in reversed(graphs)}.values())
     assert len(graphs) == 208
@@ -507,23 +513,67 @@ def test_slack_is_negative_exactly_on_a_violation():
     cases += [_planted(spec, **planted) for _, spec, _, planted, _ in PLANTED]
     statements = [(tid, ev) for tid, ev in REGISTRY.items() if ev.kind != "standalone"]
     assert len(statements) == 33
-    violations = ties = 0
     for f in cases:
-        n, p = f.n, f.profile
         for tid, ev in statements:
             for k in (ev.fn.__defaults__ if ev.kind == "once" else range(1, 6)):
-                out = ev.fn(f, k)
-                rows = [b for b in ev.rows if b.listed(k) and b.applies(n, p, k, f)]
-                slacks = [b.slack(n, p, k, f) for b in rows]
-                assert out.substantive == bool(rows), (tid, f.g, k)
-                assert (out.detail is not None) == any(s < 0 for s in slacks), (tid, f.g, k)
-                violations += out.detail is not None
-                if out.detail is not None:
-                    continue
-                fact = f.lk(k)
-                positive = any(b.tie == "any" or b.tie == "value" and s == 0
-                               or b.tie == "raw" and fact * b.den(n, p, k, f) == b.num(n, p, k, f)
-                               for b, s in zip(rows, slacks))
-                assert out.positive == positive, (tid, f.g, k)
-                ties += out.positive
+                yield tid, ev, f, k
+
+
+def test_slack_is_negative_exactly_on_a_violation():
+    violations = ties = 0
+    for tid, ev, f, k in _checks():
+        n, p = f.n, f.profile
+        out = ev.fn(f, k)
+        rows = [b for b in ev.rows if b.listed(k) and b.applies(n, p, k, f)]
+        slacks = [b.slack(n, p, k, f) for b in rows]
+        assert out.substantive == bool(rows), (tid, f.g, k)
+        assert (out.detail is not None) == any(s < 0 for s in slacks), (tid, f.g, k)
+        violations += out.detail is not None
+        if out.detail is not None:
+            continue
+        fact = f.lk(k)
+        positive = any(b.tie == "any" or b.tie == "value" and s == 0
+                       or b.tie == "raw" and fact * b.den(n, p, k, f) == b.num(n, p, k, f)
+                       for b, s in zip(rows, slacks))
+        assert out.positive == positive, (tid, f.g, k)
+        ties += out.positive
     assert violations and ties
+
+
+_OPS = {"lower": "<", "upper": ">", "exact": "!="}
+
+
+def test_violation_text_names_only_its_rows():
+    # a violation joins, in row order and by "; ", one text per row with a negative
+    # slack, built only from that row's fact name, fact, id and value: where the fact
+    # breaks the value "<fact_name>=<fact> <op> <id>=<num or num/den>", and else
+    # "<fact_name>=<fact> vs <id>=<num or num/den> but structural test says <held>"
+    violated = set()
+    for tid, ev, f, k in _checks():
+        out = ev.fn(f, k)
+        if out.detail is None:
+            continue
+        violated.add(tid)
+        n, p = f.n, f.profile
+        rows = [b for b in ev.rows if b.listed(k) and b.applies(n, p, k, f)]
+        texts = []
+        for b in (b for b in rows if b.slack(n, p, k, f) < 0):
+            fact = f.lk(k) if b.fact is None else b.fact(n, p, k, f)
+            _, num, den = b.value(n, p, k, f)
+            name, shown = b.fact_name.format(k=k), num if b.den is None else f"{num}/{den}"
+            if b.direction != "iff" and replace(b, iff=None).slack(n, p, k, f) < 0:
+                texts.append(f"{name}={fact} {_OPS[b.direction]} {b.id}={shown}")
+            else:
+                texts.append(f"{name}={fact} vs {b.id}={shown} "
+                             f"but structural test says {b.iff(n, p, k, f)}")
+        assert out.detail == "; ".join(texts), (tid, f.g, k)
+    # the only trees of order <= 9 in th-tree-deltaprime are stars, whose L_2 = 2 stays
+    # below 2n/3 even shifted; every other statement reaches a violation text
+    assert violated == {tid for tid, ev in REGISTRY.items()
+                        if ev.kind != "standalone"} - {"th-tree-deltaprime"}
+
+
+if __name__ == "__main__":
+    # each planted case's id, k and violation detail, to diff across a text change
+    for tid, spec, k, planted, _ in PLANTED:
+        print(tid, k, _planted_outcome(tid, spec, k, planted).detail, sep="\t")

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from limpack import build_from_spec, campaign, cli, emit_graph6, parse_graph6, solvers
+from limpack.campaign import replay_violation
 from limpack.cli import main
 from limpack.corpus import enumerate_tree_classes, random_connected
 from limpack.graphs import EDGE_LIST_LIMIT
@@ -572,6 +573,32 @@ def test_verify_prints_violations(capsys, monkeypatch):
         "  violation: graph6=DqG k=None: planted on order 5",
         "  ... 19 more violations",
     ]
+
+
+def test_verify_reports_a_real_violation(capsys, monkeypatch, tmp_path):
+    # a gamma one too high breaks L_1 == gamma on every tree, through the real statement
+    gamma = solvers.GraphFacts.gamma
+    monkeypatch.setattr(solvers.GraphFacts, "gamma", property(lambda f: gamma.func(f) + 1))
+    path = tmp_path / "report.json"
+    rc, out, err = run(capsys, "verify", "--theorems", "lem-l1-eq-gamma-trees",
+                       "--corpus", "trees(<=6)", "--k", "1", "--json", str(path))
+    assert rc == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "lem-l1-eq-gamma-trees: fail (graphs=13, substantive=13, positives=0, " \
+                       "violations=13)"
+    assert lines[1:] == [
+        "  violation: graph6=A_ k=None: L_1=1 != l1-eq-gamma=2",
+        "  violation: graph6=Bo k=None: L_1=1 != l1-eq-gamma=2",
+        "  violation: graph6=Cq k=None: L_1=2 != l1-eq-gamma=3",     # P_4
+        "  violation: graph6=Cs k=None: L_1=1 != l1-eq-gamma=2",     # K_1,3
+        "  violation: graph6=DqG k=None: L_1=2 != l1-eq-gamma=3",
+        "  ... 8 more violations",
+    ]
+    (verdict,) = json.loads(path.read_text())["verdicts"]
+    assert len(verdict["violations"]) == 13
+    for rec in verdict["violations"]:
+        assert rec["detail"] == replay_violation(verdict["theorem_id"], rec["graph6"],
+                                                 rec["k"]).detail
 
 
 def test_rejection_budget_exits_2(capsys):
