@@ -66,6 +66,7 @@ class Evaluator:
     supplements: Callable | None = None
     runner: Callable | None = None             # standalone: yields (graph, row) pairs
     rows: tuple[Bound, ...] = ()               # per-graph: the rows fn checks, in order
+    k: int | None = None                       # once: the one k fn checks
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +192,8 @@ def _derived(tid: str, once_k: int | None = None, supplements=None) -> Evaluator
                 outcome = PASS
         return _bad("; ".join(fails)) if fails else outcome
 
-    return Evaluator("per_k" if once_k is None else "once", evaluate, supplements, rows=rows)
+    return Evaluator("per_k" if once_k is None else "once", evaluate, supplements, rows=rows,
+                     k=once_k)
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +488,8 @@ def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
 
 def replay_violation(theorem_id: str, graph6: str, k: int | None = None) -> Outcome:
     """Re-run one evaluator on one graph, standalone from a violation record;
-    a per-k evaluator needs the record's k, and any k given is >= 1 as in
-    run_campaign."""
+    a per-k evaluator needs the record's k, any k given is >= 1 as in
+    run_campaign, and a once evaluator takes no k but its own."""
     if theorem_id not in REGISTRY:
         raise ValueError(f"unknown theorem id: {theorem_id}")
     ev = REGISTRY[theorem_id]
@@ -495,6 +497,8 @@ def replay_violation(theorem_id: str, graph6: str, k: int | None = None) -> Outc
         raise ValueError(f"{theorem_id} sweeps its own instances; rerun the campaign entry")
     if k is not None:
         solvers._check_k(k)
+        if ev.kind == "once" and k != ev.k:
+            raise ValueError(f"{theorem_id} is checked once, at k = {ev.k}; got k = {k}")
     facts = GraphFacts(parse_graph6(graph6))
     if ev.kind == "once":
         return ev.fn(facts)

@@ -33,12 +33,39 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of mask in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _byte_tables() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each byte of a 64-bit mask, the set positions of every byte value.
+    Each bit doubles the table, appending itself above the bits before it, so
+    every tuple is in increasing order."""
+    tables = []
+    for base in range(0, MAX_VERTICES, 8):
+        table = [()]
+        for v in range(base, base + 8):
+            table += [t + (v,) for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+_BYTE_BITS = _byte_tables()
+_LOW_BITS = _BYTE_BITS[0]
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of mask, a tuple in increasing order.  Raises
+    ValueError unless 0 <= mask < 2^64.  A mask below 256 returns a shared
+    tuple; a larger one joins one table tuple per nonzero byte."""
+    if 0 <= mask < 256:
+        return _LOW_BITS[mask]
+    if mask < 0 or mask >> MAX_VERTICES:
+        raise ValueError(f"mask {mask} outside 0..2^{MAX_VERTICES} - 1")
+    out = ()
+    for table in _BYTE_BITS:
+        byte = mask & 255
+        if byte:
+            out += table[byte]
+        mask >>= 8
+        if not mask:
+            return out
 
 
 # the most (k+1)-subsets a structural test walks before it gives up: about
@@ -420,6 +447,48 @@ def _reach(g: Graph, start: int, allowed: int) -> int:
     return seen
 
 
+def _cut_vertices(g: Graph) -> int:
+    """The mask of cut vertices, by one iterative depth-first pass per
+    component (Hopcroft and Tarjan, 1973).  low[v] is the least discovery
+    number that v's subtree reaches by one edge; a non-root p is a cut vertex
+    iff some child v has low[v] >= order[p], and a root iff it has two or
+    more children.  A leaf or an isolated vertex never is one."""
+    adj = g.adj
+    order = [0] * g.n     # discovery number from 1; 0 while unvisited
+    low = [0] * g.n
+    cut = count = 0
+    for root in range(g.n):
+        if order[root]:
+            continue
+        count += 1
+        order[root] = low[root] = count
+        stack = [(root, iter(bits(adj[root])))]
+        children = 0
+        while stack:
+            v, rest = stack[-1]
+            for u in rest:
+                if not order[u]:
+                    count += 1
+                    order[u] = low[u] = count
+                    stack.append((u, iter(bits(adj[u]))))
+                    break
+                if order[u] < low[v]:
+                    low[v] = order[u]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    if p == root:
+                        children += 1
+                    elif low[v] >= order[p]:
+                        cut |= 1 << p
+        if children >= 2:
+            cut |= 1 << root
+    return cut
+
+
 def is_tree(g: Graph) -> bool:
     """Connected with n - 1 edges (so not the null graph): one flood from
     vertex 0, in O(n) word operations."""
@@ -431,8 +500,8 @@ def profile(g: Graph) -> GraphProfile:
     test.  K_0 counts as connected, not a tree, with diameter 0 and every
     (no) edge on a triangle; K_1 is a tree with diameter 0.  A forest has
     girth None, and its diameter is None unless it is a tree.  Costs n
-    layered walks (_layers), one per root, and one flood (_reach) inside its
-    own component per vertex of degree at least 2."""
+    layered walks (_layers), one per root, and one depth-first lowpoint pass
+    per component for the cut vertices (_cut_vertices)."""
     n = g.n
     degs = g.degrees()
     max_deg = max(degs, default=0)
@@ -450,17 +519,7 @@ def profile(g: Graph) -> GraphProfile:
     diameter = max(ecc for ecc, _, _ in walks) if connected else None
     girth = min((cycle for _, cycle, _ in walks if cycle), default=None)
 
-    # v of degree >= 2 is a cut vertex iff its component minus v falls apart,
-    # that is iff a flood from one neighbour misses part of it; a leaf or an
-    # isolated vertex never is one
-    cut = 0
-    for v, (_, _, comp) in enumerate(walks):
-        if degs[v] >= 2:
-            rest = comp & ~(1 << v)
-            if _reach(g, (adj[v] & -adj[v]).bit_length() - 1, rest) != rest:
-                cut |= 1 << v
-
     triangle = all(row & adj[u] for row in adj for u in bits(row))   # each edge from both ends
 
     return GraphProfile(connected, tree, max_deg, min_deg, min_nonleaf,
-                        diameter, girth, cut, triangle)
+                        diameter, girth, _cut_vertices(g), triangle)

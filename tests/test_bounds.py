@@ -291,8 +291,7 @@ def test_derived_evaluators_match_gap_rule():
             f = ShiftedFacts(facts, shift)
             for tid, ev in derived.items():
                 if ev.kind == "once":
-                    (k,) = ev.fn.__defaults__
-                    assert ev.fn(f) == derived_by_gap(tid, f, k), (tid, g, shift)
+                    assert ev.fn(f) == derived_by_gap(tid, f, ev.k), (tid, g, shift)
                     continue
                 for k in range(1, 6):
                     assert ev.fn(f, k) == derived_by_gap(tid, f, k), (tid, g, k, shift)

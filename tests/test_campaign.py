@@ -157,6 +157,17 @@ def test_replay_violation_rejects_k_below_one():
                 replay_violation(tid, "DhC", k)
 
 
+def test_replay_violation_takes_only_a_once_ids_own_k():
+    # a once evaluator checks one k; any other k is refused, naming the one it checks
+    for tid, own, others in (("cor-classG", 2, (1, 3, 10)), ("lem-l1-eq-gamma-trees", 1, (2, 3))):
+        assert REGISTRY[tid].k == own
+        assert replay_violation(tid, "BW", own) == replay_violation(tid, "BW")
+        for k in others:
+            with pytest.raises(ValueError, match=rf"^{tid} is checked once, at k = {own}; "
+                                                 rf"got k = {k}$"):
+                replay_violation(tid, "BW", k)
+
+
 def test_huge_k_is_checked():
     # a bound row covers every k, also past 2^63 - 1
     path5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -503,7 +514,9 @@ def _shifted(base: GraphFacts, shift: int, shift_bar: int) -> GraphFacts:
 def _checks():
     """(id, evaluator, facts, k) for every per-graph statement on the 208 classes of
     order <= 6 and the tree classes of order <= 9, with L_k and L_k(complement) each
-    shifted by -1, 0 and +1, then on the planted facts: at k = 1..5, or at its own k."""
+    shifted by -1, 0 and +1, then on the planted facts: at k = 1..5, or at its own k.
+    The star K_{1,4} with L_2 = 4 > 2n/3 is planted here, not in PLANTED, because
+    th-tree-deltaprime has only bound-table rows."""
     graphs = [g for n in range(1, 7) for g in enumerate_labeled_graphs(n)]
     graphs = list({labeled_class(g): g for g in reversed(graphs)}.values())
     assert len(graphs) == 208
@@ -511,11 +524,12 @@ def _checks():
     cases = [_shifted(base, s, s_bar) for base in map(GraphFacts, graphs)
              for s in (-1, 0, 1) for s_bar in (-1, 0, 1)]
     cases += [_planted(spec, **planted) for _, spec, _, planted, _ in PLANTED]
+    cases.append(_planted("star:5", lk={2: 4}))
     statements = [(tid, ev) for tid, ev in REGISTRY.items() if ev.kind != "standalone"]
     assert len(statements) == 33
     for f in cases:
         for tid, ev in statements:
-            for k in (ev.fn.__defaults__ if ev.kind == "once" else range(1, 6)):
+            for k in ((ev.k,) if ev.kind == "once" else range(1, 6)):
                 yield tid, ev, f, k
 
 
@@ -567,10 +581,8 @@ def test_violation_text_names_only_its_rows():
                 texts.append(f"{name}={fact} vs {b.id}={shown} "
                              f"but structural test says {b.iff(n, p, k, f)}")
         assert out.detail == "; ".join(texts), (tid, f.g, k)
-    # the only trees of order <= 9 in th-tree-deltaprime are stars, whose L_2 = 2 stays
-    # below 2n/3 even shifted; every other statement reaches a violation text
-    assert violated == {tid for tid, ev in REGISTRY.items()
-                        if ev.kind != "standalone"} - {"th-tree-deltaprime"}
+    # every one of the 33 per-graph statements reaches a violation text
+    assert violated == {tid for tid, ev in REGISTRY.items() if ev.kind != "standalone"}
 
 
 if __name__ == "__main__":

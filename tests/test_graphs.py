@@ -1,5 +1,6 @@
 """Graph container, graph6/edge-list codecs, and structural profile."""
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -34,6 +35,35 @@ def test_mask_helpers():
     assert mask_of([0, 2, 5]) == 0b100101
     assert list(bits(0b100101)) == [0, 2, 5]
     assert list(bits(0)) == []
+
+
+def reference_bits(mask: int) -> tuple[int, ...]:
+    """The set positions of mask, one lowest bit at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def test_bits_matches_a_reference_loop():
+    rng = random.Random(2028)
+    masks = [*range(1 << 16), 255, 256, 1 << 63, (1 << 64) - 1]
+    masks += [rng.getrandbits(64) for _ in range(10_000)]
+    for mask in masks:
+        got = bits(mask)
+        assert type(got) is tuple and got == reference_bits(mask), mask
+    assert bits(5) is bits(5)     # a mask below 256 shares its table tuple
+
+
+@pytest.mark.parametrize("mask", [-1, -256, -(1 << 64), 1 << 64, (1 << 64) | 1, 1 << 200])
+def test_bits_rejects_a_mask_outside_64_bits_at_once(mask):
+    # the generator this replaced looped forever on a negative mask
+    t = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^mask {mask} outside 0\.\.2\^64 - 1$"):
+        bits(mask)
+    assert time.perf_counter() - t < 0.05
 
 
 def test_graph_construction_and_accessors():
@@ -488,6 +518,44 @@ def test_profile_walk_matches_networkx_on_sparse_random_graphs():
     for n in range(13, MAX_VERTICES + 1):
         for c in (1.5, 2.5, 4.0):
             assert_walk_matches_networkx(random_graph(n, c / n, rng))
+
+
+def flood_cut_vertices(g: Graph) -> int:
+    """The cut vertices by one flood per vertex of degree >= 2: v is one iff a
+    flood from its lowest neighbour through its component minus v misses part
+    of that rest; a leaf or an isolated vertex never is one."""
+    def flood(start: int, allowed: int) -> int:
+        seen = frontier = 1 << start
+        while frontier:
+            reach = 0
+            for v in reference_bits(frontier):
+                reach |= g.adj[v]
+            frontier = reach & allowed & ~seen
+            seen |= frontier
+        return seen
+
+    cut = 0
+    for v in range(g.n):
+        if g.adj[v].bit_count() >= 2:
+            rest = flood(v, g.full_mask) & ~(1 << v)
+            if flood(reference_bits(g.adj[v])[0], rest) != rest:
+                cut |= 1 << v
+    return cut
+
+
+def test_cut_vertices_match_the_flood_rule():
+    graphs = [g for n in range(1, 7) for g in enumerate_labeled_graphs(n)]
+    graphs = list({labeled_class(g): g for g in reversed(graphs)}.values())
+    assert len(graphs) == 208
+    graphs += [t for n in range(1, 11) for t in enumerate_tree_classes(n)]
+    rng = random.Random(1973)
+    graphs += [random_graph(n, c / n, rng) for n in range(1, MAX_VERTICES + 1)
+               for c in (0.5, 1.0, 2.0, 4.0, n / 2)]
+    profiles = [profile(g) for g in graphs]
+    assert sum(not p.connected for p in profiles) > 100
+    assert sum(p.min_degree == 0 and g.n > 1 for g, p in zip(graphs, profiles)) > 50
+    for g, p in zip(graphs, profiles):
+        assert p.cut_vertices == flood_cut_vertices(g), g
 
 
 def test_is_tree_matches_networkx():
