@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import bounds as bounds_mod
 from . import solvers
@@ -76,8 +77,35 @@ def _parse_k_list(text: str) -> list[int]:
     return list(ks)
 
 
+def _json(x, pad: str = "\n") -> str:
+    """x as json.dumps(x, indent=2) writes it, at the indent pad (a newline and
+    spaces): None, bool, int, str, and lists and dicts of them, with str keys.
+    Any other type raises TypeError, a float too: no command prints one."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None or isinstance(x, bool):
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = pad + "  "
+    if isinstance(x, dict):
+        items = [f"{inner}{_quote(k)}: {_json(v, inner)}" for k, v in x.items()]
+        return "{" + ",".join(items) + pad + "}" if items else "{}"
+    if isinstance(x, list):
+        items = [inner + _json(v, inner) for v in x]
+        return "[" + ",".join(items) + pad + "]" if items else "[]"
+    raise TypeError(f"cannot print {type(x).__name__} as JSON")
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    """Print payload as json.dumps(payload, indent=2) would, byte for byte.
+
+    With an indent, json.dumps skips its C encoder for the pure-Python one,
+    which took about 3.8 ms of the 44 ms that 72 params, bounds and ng calls
+    take; _json quotes strings with json's C function and joins the rest
+    itself, in about 60 % of that time.
+    """
+    print(_json(payload))
 
 
 def cmd_solve(args) -> int:

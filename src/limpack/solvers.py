@@ -180,9 +180,10 @@ class _Packing:
     by branch and bound.  It branches on vertices by descending row size (ties by
     index), include before exclude.  Residual capacities track cap minus the
     hits on each row; once one is exhausted, every vertex of that row is
-    blocked.  The free vertices are the undecided, unblocked ones, and a
-    branch dies when the set so far plus a bound on how many free vertices
-    can join cannot beat the incumbent.  The bound starts at the count of
+    blocked.  The free vertices are the undecided, unblocked ones, and a node
+    branches only on a free vertex, the first in that order.  A branch dies
+    when the set so far plus a bound on how many free vertices can join
+    cannot beat the incumbent.  The bound starts at the count of
     free vertices and falls to the residual cover bound (with closed rows,
     the local form of L_k <= k * gamma).  That splits the free vertices into
     parts inside rows, each holding at most min(|part|, capacity of the
@@ -206,7 +207,8 @@ class _Packing:
         n = len(rows)
         self.rows = rows
         self.sizes = sizes = [row.bit_count() for row in rows]
-        self.order = order = sorted(range(n), key=lambda v: (-sizes[v], v))
+        # descending size; the sort is stable under reverse, so ties keep index order
+        self.order = order = sorted(range(n), key=sizes.__getitem__, reverse=True)
         self.rest = rest = [0] * (n + 1)  # rest[pos]: mask of order[pos:]
         for pos in range(n - 1, -1, -1):
             rest[pos] = rest[pos + 1] | (1 << order[pos])
@@ -261,17 +263,21 @@ class _Packing:
                 best = bound
                 best_mask = chosen_mask | free
                 return
+            # some row took a part, so a free vertex is left: branch on the first,
+            # since a child at a blocked order[pos] would repeat this node exactly
             v = order[pos]
-            if not (blocked >> v) & 1:
-                saved = blocked
-                for u in members[v]:
-                    caps[u] -= 1
-                    if caps[u] == 0:
-                        blocked |= rows[u]
-                walk(pos + 1, chosen + 1, chosen_mask | (1 << v))
-                blocked = saved
-                for u in members[v]:
-                    caps[u] += 1
+            while (blocked >> v) & 1:
+                pos += 1
+                v = order[pos]
+            saved = blocked
+            for u in members[v]:
+                caps[u] -= 1
+                if caps[u] == 0:
+                    blocked |= rows[u]
+            walk(pos + 1, chosen + 1, chosen_mask | (1 << v))
+            blocked = saved
+            for u in members[v]:
+                caps[u] += 1
             walk(pos + 1, chosen, chosen_mask)
 
         walk(0, 0, 0)

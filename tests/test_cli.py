@@ -14,7 +14,7 @@ from limpack.cli import main
 from limpack.corpus import enumerate_tree_classes, random_connected
 from limpack.graphs import EDGE_LIST_LIMIT
 from limpack.solvers import limited_packing_bb
-from sample_graphs import petersen
+from sample_graphs import grid, hypercube, petersen, sparse_graph
 
 
 def run(capsys, *argv):
@@ -632,3 +632,47 @@ def test_python_dash_m_runs_the_cli(capsys):
                       "sys.argv = ['limpack', 'solve', '--graph', 'DhC', '--k', '2']\n"
                       "runpy.run_module('limpack', run_name='__main__', alter_sys=True)\n")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "4\n", "")
+
+
+# graph6 text holding [ ] { } and a backslash, all connected graphs of order 5
+BRACKETED_GRAPH6 = ["Ds[", "D]k", "Ds{", "D}{", "D\\G"]
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], {"a": {"b": {}}}, {"a": {"b": []}}, [[[]]], [[{}]],
+    None, True, False, 0, -1, 2 ** 64, -(2 ** 64),
+    'say "hi"', "back\\slash", "\x00\x01\b\t\n\f\r\x1f\x7f", "é, 日本, 𝄞, \ud800",
+    *BRACKETED_GRAPH6, {"graph6": BRACKETED_GRAPH6, "lists": [[1, [2, None]], []]},
+    {'"': 1, "\\": 2, "\n": 3, "é": 4, "": 5, "}": {"]": [True, False]}},
+])
+def test_emit_writes_what_json_dumps_indent_2_writes(value, capsys):
+    assert cli._json(value) == json.dumps(value, indent=2)
+    cli._emit(value)
+    assert capsys.readouterr().out == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": [0.5]}, (1, 2), {1}, {1: "a"}, {None: 0}])
+def test_emit_raises_type_error_for_other_types(value):
+    # json.dumps would print a float, a tuple or a non-str key; no command
+    # prints one, so _emit refuses them rather than guess
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+def test_emit_matches_json_dumps_on_every_command_payload(capsys, monkeypatch):
+    graphs = [emit_graph6(g) for g in (petersen(), grid(3, 4), hypercube(3), sparse_graph(20, 20))]
+    graphs += BRACKETED_GRAPH6 + ["@", "A_", "Bw", "D?{"]
+    emit, payloads = cli._emit, []
+    monkeypatch.setattr(cli, "_emit", lambda payload: (payloads.append(payload), emit(payload)))
+    for g6 in graphs:
+        argvs = [["params", "--graph", g6]]
+        for k in ("1", "2", "3"):
+            argvs += [["bounds", "--graph", g6, "--k", k, "--exact"], ["ng", "--graph", g6, "--k", k]]
+        argvs += [["recognize", "--graph", g6, "--family", family]
+                  for family in ("classG", "spider", "classT")]
+        argvs.append(["recognize", "--graph", g6, "--family", "lk-eq-k", "--k", "2"])
+        for argv in argvs:
+            del payloads[:]
+            assert main(argv) == 0, argv
+            assert len(payloads) == 1, argv
+            assert capsys.readouterr().out == json.dumps(payloads[0], indent=2) + "\n", argv

@@ -5,13 +5,16 @@ the witness and the `nodes_explored` of `domination_number`,
 `total_domination_number` and `open_packing_number`, as the search stood
 before its "min" sense took a per-row demand.  At demand 1 that search must
 be the same search: the test asserts that all three fields are unchanged.
-The rho0 rows come from the packing search and were regenerated twice.
-First, when that search began to start from a first-fit incumbent and to
-leave its bound loop as soon as the bound fell to the incumbent: 41 of
-those rows fell (111,841 to 101,515 nodes in total), and every value and
+The rho0 rows come from the packing search and were regenerated three
+times.  First, when that search began to start from a first-fit incumbent
+and to leave its bound loop as soon as the bound fell to the incumbent: 41
+of those rows fell (111,841 to 101,515 nodes in total), and every value and
 witness stayed as recorded.  Then, when its incumbent became the first fit
 itself, size and set: 25 of the 44 witnesses changed and the nodes fell to
 84,919, with every value, and every gamma and gamma_t row, byte-identical.
+Last, when it stopped making a child at a blocked vertex, which repeated
+its parent: 28 rows fell, 84,919 to 59,634 nodes, and only their
+`nodes_explored` moved.
 
 The graphs are seeded G(n, 2.5/(n-1)) for n = 24..64 (gamma_t where no vertex
 is isolated, and on the graph without its isolated vertices), the 7x7 and

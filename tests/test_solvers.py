@@ -12,9 +12,9 @@ from limpack import (Graph, OracleLimitError, UndefinedParameterError,
                      parse_graph6, total_domination_number)
 from limpack.corpus import (enumerate_labeled_graphs, labeled_class, parse_corpus_spec,
                             random_connected)
-from limpack.solvers import GraphFacts
+from limpack.solvers import GraphFacts, _Packing
 
-from sample_graphs import petersen
+from sample_graphs import petersen, sparse_graph
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +220,102 @@ def test_bb_closes_branch_once_every_free_vertex_fits():
     assert res.value == 4
     assert res.witness_vertices() == [0, 1, 2, 3]
     assert res.nodes_explored < 10
+
+
+def reference_packing_solve(rows: list[int], cap: int) -> tuple[int, int, int]:
+    """(value, witness, nodes_explored) of the packing search as it stood when
+    a node whose bound loop neither pruned nor closed still made a child at a
+    blocked order[pos]: that child repeated the node with the same free set."""
+    n = len(rows)
+    sizes = [row.bit_count() for row in rows]
+    order = sorted(range(n), key=lambda v: (-sizes[v], v))
+    rest = [0] * (n + 1)
+    for pos in range(n - 1, -1, -1):
+        rest[pos] = rest[pos + 1] | (1 << order[pos])
+    members = [[u for u in range(n) if row >> u & 1] for row in rows]
+    if not order or sizes[order[0]] <= cap:
+        return n, (1 << n) - 1, 0
+    hubs = [(w, rows[w]) for w in order if sizes[w] > cap]
+    caps = [cap] * n
+    blocked = fit = 0
+    for v in reversed(order):
+        if not (blocked >> v) & 1:
+            fit |= 1 << v
+            for u in members[v]:
+                caps[u] -= 1
+                if caps[u] == 0:
+                    blocked |= rows[u]
+    nodes, best, best_mask = 0, fit.bit_count(), fit
+    caps = [cap] * n
+    blocked = 0
+
+    def walk(pos: int, chosen: int, chosen_mask: int) -> None:
+        nonlocal best, best_mask, nodes, blocked
+        nodes += 1
+        if chosen > best:
+            best, best_mask = chosen, chosen_mask
+        free = start = rest[pos] & ~blocked
+        bound = chosen + free.bit_count()
+        if bound <= best:
+            return
+        for w, rw in hubs:
+            hits = (rw & free).bit_count()
+            if hits > caps[w]:
+                bound -= hits - caps[w]
+                if bound <= best:
+                    return
+                free &= ~rw
+                if not free:
+                    break
+        if free == start:
+            best, best_mask = bound, chosen_mask | free
+            return
+        v = order[pos]
+        if not (blocked >> v) & 1:
+            saved = blocked
+            for u in members[v]:
+                caps[u] -= 1
+                if caps[u] == 0:
+                    blocked |= rows[u]
+            walk(pos + 1, chosen + 1, chosen_mask | (1 << v))
+            blocked = saved
+            for u in members[v]:
+                caps[u] += 1
+        walk(pos + 1, chosen, chosen_mask)
+
+    walk(0, 0, 0)
+    return best, best_mask, nodes
+
+
+def test_packing_search_matches_the_reference_with_no_more_nodes():
+    rng = random.Random(2029)
+    graphs = [sparse_graph(n, n) for n in range(24, 49, 4)]  # the bb_sparse graphs
+    graphs += [Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j)
+                                    if rng.random() < 0.2]) for n in range(14, 22) for _ in range(3)]
+    graphs += [g for n in range(8, 13) for g in random_connected(n, 40, seed=2029 + n)]
+    got = want = fewer = 0
+    for g in graphs:
+        # closed rows at k = 1..4, and open rows at cap 1 (rho0)
+        for rows, cap in [(g.closed, k) for k in (1, 2, 3, 4)] + [(g.adj, 1)]:
+            res = _Packing(rows).solve(cap)
+            value, witness, nodes = reference_packing_solve(rows, cap)
+            assert (res.value, res.witness) == (value, witness), (g, cap)
+            assert res.nodes_explored <= nodes, (g, cap)
+            got, want = got + res.nodes_explored, want + nodes
+            fewer += res.nodes_explored < nodes
+    assert fewer > 50 and got < want, (fewer, got, want)
+
+
+def test_packing_search_branches_only_on_free_vertices():
+    # the 5-cycle 0-2-1-3-4 with a leaf 5 on 0, at k = 2, is among the smallest
+    # graphs where the reference search reaches a node at a blocked vertex: it
+    # explores 8 nodes, one of them a repeat of its parent, and the search 7
+    rows = parse_graph6("EYe?").closed
+    res = _Packing(rows).solve(2)
+    value, witness, nodes = reference_packing_solve(rows, 2)
+    assert (res.value, res.witness) == (value, witness)
+    assert res.witness_vertices() == [0, 1, 3, 5]
+    assert (res.nodes_explored, nodes) == (7, 8)
 
 
 def test_min_problem_witnesses_are_feasible():
