@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .extremal import _lk_equals_k
-from .graphs import Graph, GraphProfile, emit_graph6, profile
+from .graphs import Graph, GraphProfile, emit_graph6
 from . import solvers
 
 
@@ -77,7 +77,7 @@ class Bound:
     """One hypothesis-gated bound on a fact of the graph, L_k unless fact says.
 
     applies, num and den take (n, p, k, aux): the order, the GraphProfile, k,
-    and an object whose lk, lk_bar, gamma, l1, rho0 and gamma_t give the
+    and an object whose lk, lk_bar, gamma, rho0 and gamma_t give the
     exact values (a solvers.GraphFacts solves each on its first read, so num
     reads one only once applies holds).  value() is the one rounding: num/den
     inward, up for lower bounds and down for the rest; den=None marks an
@@ -177,7 +177,7 @@ _LOWER = (
     Bound("chain-lower", "lower", "k >= 2 and max_degree >= k-1, needs exact L_1",
           "lem-monotone-chain",
           lambda n, p, k, a: k >= 2 and p.max_degree >= k - 1,
-          lambda n, p, k, a: a.l1 + k - 1),
+          lambda n, p, k, a: a.lk(1) + k - 1),
     Bound("openpack-half-lower", "lower", "k == 1, needs exact rho0", "lem-openpack-sandwich",
           lambda n, p, k, a: k == 1,
           lambda n, p, k, a: a.rho0, lambda *_: 2, tie="raw"),
@@ -212,7 +212,7 @@ _UPPER = (
     Bound("l1-ratio-upper", "upper", "k == 2 and graph has an edge, needs exact L_1",
           "prop-l1-l2-sandwich",
           lambda n, p, k, a: k == 2 and p.max_degree >= 1,
-          lambda n, p, k, a: 2 * (p.max_degree ** 2 + 1) * a.l1,
+          lambda n, p, k, a: 2 * (p.max_degree ** 2 + 1) * a.lk(1),
           lambda n, p, k, a: p.min_degree + 1),
     Bound("openpack-upper", "upper", "k == 1, needs exact rho0", "lem-openpack-sandwich",
           lambda n, p, k, a: k == 1, lambda n, p, k, a: a.rho0),
@@ -245,10 +245,10 @@ def bounds_for(citation: str) -> tuple[Bound, ...]:
 def small_order_value(g: Graph, k: int) -> int | None:
     """Exact L_k for graphs of order at most k+1; None when the order is larger."""
     solvers._check_k(k)
-    p = profile(g)
+    f = solvers.GraphFacts(g)
     for b in bounds_for("prop-small-order") + bounds_for("prop-order-kplus1"):
-        if b.applies(g.n, p, k, None):
-            return b.value(g.n, p, k, None)[0]
+        if b.applies(g.n, f.profile, k, f):
+            return b.value(g.n, f.profile, k, f)[0]
     return None
 
 
@@ -389,20 +389,20 @@ class RegularEqualityResult:
     passed: bool
 
 
-def regular_premise(n: int, p: GraphProfile, k: int, lk: Callable[[int], int]) -> bool:
+def regular_premise(n: int, p: GraphProfile, k: int, aux) -> bool:
     """cor-regular-half's premise: the graph is d-regular with k <= d and its
     L_k attains the order/degree bound n+k-1-d (the conclusion is 2d >= n);
-    lk(k) is only called once the graph is d-regular with k <= d."""
+    aux.lk(k) is only read once the graph is d-regular with k <= d."""
     d = p.max_degree
     return (n >= 1 and p.min_degree == d and k <= d
-            and lk(k) == _ORDER_DEGREE.value(n, p, k, None)[0])
+            and aux.lk(k) == _ORDER_DEGREE.value(n, p, k, aux)[0])
 
 
 def regular_equality_check(g: Graph, k: int) -> RegularEqualityResult:
     solvers._check_k(k)
     f = solvers.GraphFacts(g)
     n, p = g.n, f.profile
-    premise = regular_premise(n, p, k, f.lk)
+    premise = regular_premise(n, p, k, f)
     regular = n >= 1 and p.min_degree == p.max_degree
     d = p.max_degree if regular else None
     conclusion = regular and 2 * d >= n

@@ -1,11 +1,12 @@
 """Verification campaign: statement evaluators, verdicts, and JSON reports.
 
-Every registered statement id maps to an evaluator.  Per-graph evaluators run
-against each corpus graph (once, or once per k); standalone evaluators sweep
-their own constructed instances.  A per-graph statement is a tuple of
-bounds.Bound rows, its CAMPAIGN_ROWS entry or else the panel rows citing
-it, kept as its evaluator's rows and judged by one rule (_derived).  A row
-is skipped where it is not listed at k or its hypothesis fails, and is
+REGISTRY maps each statement id to an evaluator.  Six standalone ones sweep
+their own constructed instances.  Every other id is a per-graph statement,
+registered because a row names it: a bounds.BOUNDS citation or a
+CAMPAIGN_ROWS key.  Its rows (its CAMPAIGN_ROWS entry, or else the panel rows
+citing it) are judged on each corpus graph by one rule (_derived), per k or
+once at its _ONCE_K k; _SUPPLEMENTS adds constructed graphs for two.  A row is
+skipped where it is not listed at k or its hypothesis fails, and is
 otherwise substantive.  It is a violation where its fact breaks its value,
 or else where its iff test disagrees with whether the two are equal;
 otherwise it is positive on its tie.  A statement joins its rows' one
@@ -104,9 +105,8 @@ CAMPAIGN_ROWS: dict[str, tuple[Bound, ...]] = {
               fact_name="diameter"),),
     "cor-regular-half": (
         Bound("regular-half", "lower", "d-regular, k <= d and L_k == n+k-1-d",
-              "cor-regular-half", lambda n, p, k, a: bounds.regular_premise(n, p, k, a.lk),
-              lambda n, p, k, a: n, fact=lambda n, p, k, a: 2 * p.max_degree, tie="any",
-              fact_name="2*max_degree"),),
+              "cor-regular-half", bounds.regular_premise, lambda n, p, k, a: n,
+              fact=lambda n, p, k, a: 2 * p.max_degree, tie="any", fact_name="2*max_degree"),),
     "prop-ng-lower": (
         Bound("ng-lower", "lower", "n >= k", "prop-ng-lower",
               lambda n, p, k, a: bounds.ng_lower_bound(n, k)[1],
@@ -141,10 +141,10 @@ CAMPAIGN_ROWS: dict[str, tuple[Bound, ...]] = {
     "th-spider-characterization": (
         replace(_CHAIN, applies=_tree2, tie="none"),
         Bound("double-l1-upper", "upper", "tree, n >= 2 and k == 2", "th-spider-characterization",
-              _tree2, lambda n, p, k, a: 2 * a.l1, tie="none"),
+              _tree2, lambda n, p, k, a: 2 * a.lk(1), tie="none"),
         Bound("spider", "iff", "tree, n >= 2 and k == 2", "th-spider-characterization",
-              _tree2, lambda *_: 1, fact=lambda n, p, k, a: a.lk(2) - a.l1, fact_name="L_2-L_1",
-              iff=lambda n, p, k, a: is_spider_below_max_degree(a.g))),
+              _tree2, lambda *_: 1, fact=lambda n, p, k, a: a.lk(2) - a.lk(1),
+              fact_name="L_2-L_1", iff=lambda n, p, k, a: is_spider_below_max_degree(a.g))),
     "th-classT-characterization": (
         replace(_RHO0_LOWER, applies=_tree2, tie="none"),
         replace(_RHO0_UPPER, applies=_tree2, tie="none"),
@@ -170,8 +170,6 @@ def _say(b: Bound, k: int, fact: int, num: int, den: int, held: bool | None = No
 def _derived(tid: str, once_k: int | None = None, supplements=None) -> Evaluator:
     """The evaluator of a statement's rows by the module's one rule; once_k fixes k."""
     rows = CAMPAIGN_ROWS.get(tid) or bounds.bounds_for(tid)
-    if not rows:
-        raise ValueError(f"no campaign row and no bound-table row for {tid}")
 
     def evaluate(f: GraphFacts, k: int = once_k) -> Outcome:
         n, p = f.n, f.profile
@@ -262,46 +260,26 @@ def _class_t_supplements() -> list[Graph]:
 # ---------------------------------------------------------------------------
 # the registry
 
+# the per-graph statements checked once, at one k; every other one is checked per k
+_ONCE_K = (dict.fromkeys(("lem-l1-eq-1-iff-diam2", "lem-open-packing-diam2",
+                          "lem-rho-eq-gammat-trees", "lem-l1-eq-gamma-trees",
+                          "lem-l1-maxdeg-lower", "th-girth-l1", "lem-openpack-sandwich"), 1)
+           | dict.fromkeys(("lem-ng-l2-n-plus-2", "cor-classG", "lem-45-upper",
+                            "th-tree-deltaprime", "lem-maxdeg-n1", "lem-cutvertex-diam2",
+                            "th-improved-diam-upper", "prop-l1-l2-sandwich",
+                            "th-spider-characterization", "th-classT-characterization"), 2))
+
+_SUPPLEMENTS = {"th-spider-characterization": _spider_supplements,
+                "th-classT-characterization": _class_t_supplements}
+
+# the sweeps, then one per-graph statement for each id its rows cite
 REGISTRY: dict[str, Evaluator] = {
     **{tid: Evaluator("standalone", runner=partial(_formula_run, family, sizes))
        for tid, (family, sizes) in _FORMULA_FAMILIES.items()},
-    "lem-kgamma": _derived("lem-kgamma"),
-    "lem-delta-upper": _derived("lem-delta-upper"),
-    "lem-monotone-chain": _derived("lem-monotone-chain"),
-    "lem-l1-eq-1-iff-diam2": _derived("lem-l1-eq-1-iff-diam2", once_k=1),
-    "lem-open-packing-diam2": _derived("lem-open-packing-diam2", once_k=1),
-    "lem-rho-eq-gammat-trees": _derived("lem-rho-eq-gammat-trees", once_k=1),
-    "lem-l1-eq-gamma-trees": _derived("lem-l1-eq-gamma-trees", once_k=1),
-    "lem-diam-lower-k12": _derived("lem-diam-lower-k12"),
-    "lem-ng-l2-n-plus-2": _derived("lem-ng-l2-n-plus-2", once_k=2),
-    "lem-l1-maxdeg-lower": _derived("lem-l1-maxdeg-lower", once_k=1),
-    "prop-small-order": _derived("prop-small-order"),
-    "prop-order-kplus1": _derived("prop-order-kplus1"),
-    "prop-lk-geq-k": _derived("prop-lk-geq-k"),
-    "th-lk-eq-k-characterization": _derived("th-lk-eq-k-characterization"),
-    "cor-diam-le-2": _derived("cor-diam-le-2"),
-    "th-diam-lower-k3": _derived("th-diam-lower-k3"),
-    "th-girth-l1": _derived("th-girth-l1", once_k=1),
-    "th-girth-l2-lk": _derived("th-girth-l2-lk"),
-    "th-order-degree-upper": _derived("th-order-degree-upper"),
-    "cor-classG": _derived("cor-classG", once_k=2),
-    "cor-regular-half": _derived("cor-regular-half"),
-    "prop-ng-lower": _derived("prop-ng-lower"),
-    "th-ng-upper": _derived("th-ng-upper"),
-    "lem-45-upper": _derived("lem-45-upper", once_k=2),
-    "lem-kk1-upper": _derived("lem-kk1-upper"),
-    "th-tree-deltaprime": _derived("th-tree-deltaprime", once_k=2),
     "th-diam2-construction": Evaluator("standalone", runner=_run_diam2_construction),
-    "lem-maxdeg-n1": _derived("lem-maxdeg-n1", once_k=2),
-    "lem-cutvertex-diam2": _derived("lem-cutvertex-diam2", once_k=2),
-    "th-improved-diam-upper": _derived("th-improved-diam-upper", once_k=2),
-    "lem-openpack-sandwich": _derived("lem-openpack-sandwich", once_k=1),
-    "prop-l1-l2-sandwich": _derived("prop-l1-l2-sandwich", once_k=2),
-    "th-spider-characterization": _derived("th-spider-characterization", once_k=2,
-                                           supplements=_spider_supplements),
-    "th-classT-characterization": _derived("th-classT-characterization", once_k=2,
-                                           supplements=_class_t_supplements),
     "th-prescribed-construction": Evaluator("standalone", runner=_run_prescribed_construction),
+    **{tid: _derived(tid, _ONCE_K.get(tid), _SUPPLEMENTS.get(tid))
+       for tid in sorted({b.citation for b in bounds.BOUNDS} | CAMPAIGN_ROWS.keys())},
 }
 
 ALL_THEOREM_IDS: tuple[str, ...] = tuple(sorted(REGISTRY))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
@@ -195,7 +196,20 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _unwritable(path: str) -> str | None:
+    """Why no report can be written at path, or None; creates and truncates nothing."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        return "it is a directory"
+    if not os.path.isdir(folder):
+        return f"no directory {folder}"
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        return "permission denied"
+
+
 def cmd_verify(args) -> int:
+    if args.json and (why := _unwritable(args.json)):   # before any graph is built
+        raise OSError(f"cannot write the report to {args.json}: {why}")
     if args.theorems.strip() == "all":
         ids = list(ALL_THEOREM_IDS)
     else:

@@ -21,7 +21,7 @@ from itertools import islice, product
 from typing import Iterator
 
 from .graphs import (_EDGE_PAIRS, GRAPH6_LINE_LIMIT, Graph, GraphFormatError,
-                     _reach, bits, parse_graph6)
+                     _layers, bits, parse_graph6)
 
 LABELED_LIMIT = 7
 # the orbit table of order 7 (2^21 masks) is built only for all_labeled(7)
@@ -196,15 +196,15 @@ def _class_table(n: int) -> array:
 
     Masks are walked in increasing order; each unseen one starts a class whose
     orbit is flooded under the adjacent transpositions (v v+1), which generate
-    S_n.  A transposition permutes edge positions; it maps a mask through two
-    lookup tables, one per half of the mask.
+    S_n.  A transposition permutes the edge positions, indices into
+    graphs._EDGE_PAIRS; it maps a mask through two tables, one per half.
     """
-    pairs = [Graph.from_edge_mask(n, 1 << p).edges()[0] for p in range(n * (n - 1) // 2)]
+    pairs = _EDGE_PAIRS[:n * (n - 1) // 2]
     half = len(pairs) // 2
     moves = []
     for v in range(n - 1):
         swap = {v: v + 1, v + 1: v}
-        image = [Graph.from_edges(n, [(swap.get(i, i), swap.get(j, j))]).edge_mask()
+        image = [1 << pairs.index(tuple(sorted((swap.get(i, i), swap.get(j, j)))))
                  for i, j in pairs]
         chunks = []
         for part in (image[:half], image[half:]):
@@ -315,7 +315,7 @@ def random_connected(n: int, count: int, seed: int, edge_prob: float = 0.5,
                 if next(stream) < threshold:
                     mask |= 1 << p
             g = Graph.from_edge_mask(n, mask)
-            if _reach(g, 0, g.full_mask) == g.full_mask:
+            if _layers(g, 0)[2] == g.full_mask:
                 yield g
                 break
         else:

@@ -312,23 +312,16 @@ def construct_comb(a: int, pendants: tuple[int, ...] = ()) -> Graph:
         raise ValueError("comb needs a >= 1")
     if pendants and len(pendants) != a:
         raise ValueError("pendants tuple must have one count per spine vertex")
+    if any(count < 0 for count in pendants):
+        raise ValueError(f"pendant counts must be >= 0, got {pendants}")
     n = 3 * a + sum(pendants)
     if n > MAX_VERTICES:
         raise ValueError(f"order {n} exceeds {MAX_VERTICES}")
-    pendants = pendants or (0,) * a
-    edges = []
-    for i in range(a):
-        r, v, u = i, a + 2 * i, a + 2 * i + 1
-        if i + 1 < a:
-            edges.append((r, i + 1))
-        edges.append((r, v))
-        edges.append((v, u))
-    nxt = 3 * a
-    for i, count in enumerate(pendants):
-        v = a + 2 * i
-        for _ in range(count):
-            edges.append((v, nxt))
-            nxt += 1
+    edges, nxt = [(i, i + 1) for i in range(a - 1)], 3 * a     # the spine r_1..r_a: 0..a-1
+    for i, count in enumerate(pendants or (0,) * a):
+        v = a + 2 * i                                           # v_{i+1}; u_{i+1} is v + 1
+        edges += [(i, v), (v, v + 1)] + [(v, leaf) for leaf in range(nxt, nxt + count)]
+        nxt += count
     return Graph.from_edges(n, edges)
 
 

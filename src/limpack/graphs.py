@@ -433,20 +433,6 @@ def _layers(g: Graph, root: int) -> tuple[int, int, int]:
         depth += 1
 
 
-def _reach(g: Graph, start: int, allowed: int) -> int:
-    """The mask of vertices a flood from start reaches through allowed, which
-    must hold start."""
-    adj = g.adj
-    frontier = seen = 1 << start
-    while frontier:
-        reach = 0
-        for v in bits(frontier):
-            reach |= adj[v]
-        frontier = reach & allowed & ~seen
-        seen |= frontier
-    return seen
-
-
 def _cut_vertices(g: Graph) -> int:
     """The mask of cut vertices, by one iterative depth-first pass per
     component (Hopcroft and Tarjan, 1973).  low[v] is the least discovery
@@ -490,9 +476,9 @@ def _cut_vertices(g: Graph) -> int:
 
 
 def is_tree(g: Graph) -> bool:
-    """Connected with n - 1 edges (so not the null graph): one flood from
-    vertex 0, in O(n) word operations."""
-    return g.edge_count() == g.n - 1 and _reach(g, 0, g.full_mask) == g.full_mask
+    """Connected with n - 1 edges (so not the null graph): root 0's layered
+    walk (_layers) reaches every vertex, in O(n) word operations."""
+    return g.edge_count() == g.n - 1 and _layers(g, 0)[2] == g.full_mask
 
 
 def profile(g: Graph) -> GraphProfile:

@@ -406,10 +406,6 @@ class GraphFacts:
             self._lk[k] = self._solve(f"L{k}", self._packing.solve, k).value
         return self._lk[k]
 
-    @property
-    def l1(self) -> int:
-        return self.lk(1)
-
     @cached_property
     def _bar_packing(self) -> _Packing:
         """The packing search over the complement's closed neighbourhoods."""

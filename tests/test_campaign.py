@@ -63,6 +63,22 @@ def test_registry_roster():
     assert kinds == {"once", "per_k", "standalone"}
 
 
+def test_registry_tables_name_per_graph_statements():
+    # the per-graph statements are the ids their rows cite; _ONCE_K and _SUPPLEMENTS
+    # only qualify them, so a key naming no such statement would be dropped unseen
+    per_graph = {tid for tid, ev in REGISTRY.items() if ev.kind != "standalone"}
+    assert per_graph == {b.citation for b in BOUNDS} | set(CAMPAIGN_ROWS)
+    assert len(per_graph) == 33
+    assert set(campaign_mod._ONCE_K) <= per_graph
+    assert set(campaign_mod._SUPPLEMENTS) <= per_graph
+    for tid in per_graph:
+        ev = REGISTRY[tid]
+        assert (ev.kind, ev.k) == (("once", campaign_mod._ONCE_K[tid])
+                                   if tid in campaign_mod._ONCE_K else ("per_k", None)), tid
+        assert ev.supplements is campaign_mod._SUPPLEMENTS.get(tid), tid
+    assert len(campaign_mod._ONCE_K) == 17 and len(campaign_mod._SUPPLEMENTS) == 2
+
+
 def test_small_campaign_all_pass():
     corpus = parse_corpus_spec("all_labeled(4)+trees(<=7)")
     report = run_campaign(ALL_THEOREM_IDS, corpus, (1, 2, 3))

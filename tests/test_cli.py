@@ -601,6 +601,36 @@ def test_verify_reports_a_real_violation(capsys, monkeypatch, tmp_path):
                                                  rec["k"]).detail
 
 
+def test_verify_checks_the_json_path_before_any_work(capsys, monkeypatch, tmp_path):
+    # a report that cannot be written is found before the corpus is parsed or any
+    # statement runs: exit 2 naming the path, no verdict line, no file made or truncated
+    def refuse(*args, **kwargs):
+        raise AssertionError("the campaign ran before the report path was checked")
+
+    monkeypatch.setattr(cli, "run_campaign", refuse)
+    monkeypatch.setattr(cli, "parse_corpus_spec", refuse)
+    (tmp_path / "file").write_text("")
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    (locked / "old.json").write_text("keep")
+    real_access = os.access
+    # as root, os.access grants everything: report what an unprivileged user sees
+    monkeypatch.setattr(os, "access", lambda path, mode: (Path(path).parent != locked
+                                                          and Path(path) != locked
+                                                          and real_access(path, mode)))
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    for path, why in [(tmp_path / "missing" / "x.json", f"no directory {tmp_path / 'missing'}"),
+                      (tmp_path, "it is a directory"),
+                      (tmp_path / "file" / "x.json", f"no directory {tmp_path / 'file'}"),
+                      (locked / "new.json", "permission denied"),
+                      (locked / "old.json", "permission denied")]:
+        rc, out, err = run(capsys, "verify", "--theorems", "all", "--corpus", "all_labeled(4)",
+                           "--k", "1", "--json", str(path))
+        assert (rc, out, err) == (2, "", f"error: cannot write the report to {path}: {why}\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+    assert (locked / "old.json").read_text() == "keep"
+
+
 def test_rejection_budget_exits_2(capsys):
     # no connected graph is drawn at this p: a bad input, not a violation
     rc, out, err = run(capsys, "verify", "--theorems", "lem-kgamma",

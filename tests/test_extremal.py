@@ -331,6 +331,14 @@ def test_construct_comb_membership():
         construct_comb(2, (1,))
 
 
+def test_construct_comb_rejects_a_negative_pendant_count():
+    # refused before any edge is built, naming the counts rather than an edge
+    for pendants in ((-1, 0), (0, -1), (2, -3), (-1,) * 4):
+        with pytest.raises(ValueError, match=f"^pendant counts must be >= 0, got "
+                                             f"{re.escape(str(pendants))}$"):
+            construct_comb(len(pendants), pendants)
+
+
 @pytest.mark.parametrize("build, args, message", [
     (construct_diam2, (11,), "order 66 exceeds 64 (a <= 10)"),
     (construct_tree_prescribed, (1, 2), "construction needs a >= 2"),
