@@ -342,77 +342,109 @@ class CampaignReport:
         return json.dumps(self.as_dict(), indent=2) + "\n"
 
 
-def _rows(evs: list[Evaluator], facts: GraphFacts, ks: list[int], interned: dict) -> tuple:
-    """One interned row (substantive, positives, ((k, detail), ...)) per evaluator.
-
-    A "once" evaluator runs with k None, a per-k one for each k in ks; the
-    substantive outcomes among them are counted, their positive ones
-    counted, and their violations listed with the k they ran at.
-    """
-    rows = []
-    for ev in evs:
-        fn, once = ev.fn, ev.kind == "once"
-        substantive = positives = 0
-        bad = ()
-        for k in (None,) if once else ks:
-            out = fn(facts) if once else fn(facts, k)
-            if out.substantive:
-                substantive += 1
-                if out.positive:
-                    positives += 1
-                if out.detail is not None:
-                    bad += ((k, out.detail),)
-        row = (substantive, positives, bad)
-        rows.append(interned.setdefault(row, row))
-    return tuple(rows)
-
-
-def _count(verdicts: list[TheoremVerdict], rows: tuple, graphs: int) -> None:
-    """Add rows to the verdicts' counts once for each of `graphs` graphs."""
-    for v, (substantive, positives, _) in zip(verdicts, rows):
-        v.graphs_checked += graphs
-        v.substantive_checks += substantive * graphs
-        v.positive_cases += positives * graphs
-
-
-def _record(verdicts: list[TheoremVerdict], rows: tuple, g: Graph) -> None:
-    """Append the violations in rows under g's graph6."""
-    g6 = None
-    for v, (_, _, bad) in zip(verdicts, rows):
-        for k, detail in bad:
-            if g6 is None:
-                g6 = emit_graph6(g)
-            v.violations.append({"graph6": g6, "k": k, "detail": detail})
-
-
-def _tally(verdicts: list[TheoremVerdict], rows: tuple, g: Graph) -> None:
-    _count(verdicts, rows, 1)
-    _record(verdicts, rows, g)
-
-
 def _violation_key(v: dict):
     return (v["graph6"], -1 if v["k"] is None else v["k"], v["detail"])
 
 
+class Tally:
+    """Counts and violation records of the statements ids over the graphs it is given.
+
+    A per-graph evaluator runs once per isomorphism class of order <= class_limit
+    (corpus.labeled_class; Corpus.class_limit is 7 for a corpus with an
+    all_labeled(7) term, else 6) and once for every other graph.  A graph's
+    outcomes are one interned row (substantive, positives, ((k, detail), ...)) per
+    statement.  One entry per distinct rows tuple, with its statements, counts the
+    graphs that gave it; a class keeps its entry, so a later member costs one
+    lookup and one increment.  The counts enter the verdicts as rows times graphs.
+    Only an entry that carries a violation emits its graphs' graph6, to record it
+    under each; so evaluators, including entries a caller adds to REGISTRY, must
+    depend only on isomorphism invariants.  Supplements and sweep instances are
+    counted by the same step, each under its one statement id.  No Graph is kept.
+    """
+
+    def __init__(self, ids: Iterable[str], ks: list[int], class_limit: int = CLASS_LIMIT):
+        self.ids, self.ks, self.class_limit = list(ids), ks, class_limit
+        self.per_graph = tuple(tid for tid in self.ids if REGISTRY[tid].kind != "standalone")
+        self.graphs = self.classes_evaluated = 0
+        self._interned: dict = {}
+        self._entries: dict = {}   # (ids, rows) -> [graphs, whether rows hold a violation, ids, rows]
+        self._by_class: dict = {}  # class key -> its rows' entry
+        self._violations: dict = {tid: [] for tid in self.ids}
+
+    def add(self, g: Graph) -> None:
+        """Count one corpus graph: under its class's entry, or else under its evaluated rows."""
+        self.graphs += 1
+        key = labeled_class(g, self.class_limit)
+        entry = self._by_class.get(key)
+        if entry is None:
+            self.classes_evaluated += 1
+            entry = self._entry(self.per_graph, self._rows(self.per_graph, GraphFacts(g)))
+            if key is not None:
+                self._by_class[key] = entry
+        self._step(entry, g)
+
+    def add_constructed(self) -> None:
+        """Count the supplements and sweep instances of the statements asked for."""
+        for tid in self.ids:
+            ev = REGISTRY[tid]
+            if ev.kind == "standalone":
+                for g, row in ev.runner():
+                    self._step(self._entry((tid,), (row,)), g)
+            elif ev.supplements is not None:
+                for g in ev.supplements():
+                    self._step(self._entry((tid,), self._rows((tid,), GraphFacts(g))), g)
+
+    def _rows(self, ids: tuple, facts: GraphFacts) -> tuple:
+        """One interned row per statement: a "once" one runs with k None, a per-k one at each k."""
+        rows = []
+        for tid in ids:
+            fn, once = REGISTRY[tid].fn, REGISTRY[tid].kind == "once"
+            substantive = positives = 0
+            bad = ()
+            for k in (None,) if once else self.ks:
+                out = fn(facts) if once else fn(facts, k)
+                if out.substantive:
+                    substantive += 1
+                    if out.positive:
+                        positives += 1
+                    if out.detail is not None:
+                        bad += ((k, out.detail),)
+            row = (substantive, positives, bad)
+            rows.append(self._interned.setdefault(row, row))
+        return tuple(rows)
+
+    def _entry(self, ids: tuple, rows: tuple) -> list:
+        fresh = [0, any(bad for _, _, bad in rows), ids, rows]
+        return self._entries.setdefault((ids, rows), fresh)
+
+    def _step(self, entry: list, g: Graph) -> None:
+        """The one counting step: one more graph under entry, its violations under g's graph6."""
+        entry[0] += 1
+        if entry[1]:
+            g6 = emit_graph6(g)
+            for tid, (_, _, bad) in zip(entry[2], entry[3]):
+                self._violations[tid] += [{"graph6": g6, "k": k, "detail": d} for k, d in bad]
+
+    def report(self, spec: str) -> CampaignReport:
+        """The verdicts of the counts so far, violations sorted, in a CampaignReport."""
+        verdicts = {tid: TheoremVerdict(tid, 0, 0, 0, sorted(found, key=_violation_key))
+                    for tid, found in self._violations.items()}
+        for graphs, _, ids, rows in self._entries.values():
+            for tid, (substantive, positives, _) in zip(ids, rows):
+                v = verdicts[tid]
+                v.graphs_checked += graphs
+                v.substantive_checks += substantive * graphs
+                v.positive_cases += positives * graphs
+        return CampaignReport(spec, self.ks, [verdicts[tid] for tid in sorted(verdicts)],
+                              self.graphs, self.classes_evaluated)
+
+
 def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
                  corpus_spec: str | None = None) -> CampaignReport:
-    """Evaluate the named statements over a corpus for every k in k_range.
+    """Evaluate the named statements over a corpus for every k in k_range, by a Tally.
 
-    corpus is any iterable of Graph; a Corpus object contributes its spec
-    string to the report (override with corpus_spec for ad hoc iterables).
-
-    Per-graph evaluators run once per isomorphism class of order <= 6, or <= 7
-    for a corpus with an all_labeled(7) term (corpus.labeled_class,
-    Corpus.class_limit), and once for every other graph.  One tally, keyed
-    by the interned rows tuple, counts the graphs that gave each rows tuple:
-    a class keeps its tally entry, so a later member costs one lookup and
-    one increment, and a graph whose rows repeat another's costs one
-    increment.  The counts enter the verdicts once per distinct rows tuple,
-    as rows times graphs.  A graph whose rows carry a violation records it
-    under its own graph6, the only time a corpus graph's graph6 is emitted.
-    So evaluators, including entries a caller adds to REGISTRY, must depend
-    only on isomorphism invariants; the graph6 comes from the record.  The
-    supplements and the standalone sweeps are tallied one by one.
+    corpus is any iterable of Graph; a Corpus object contributes its spec string
+    (override it with corpus_spec for ad hoc iterables) and its class_limit.
     """
     ids = list(dict.fromkeys(theorem_ids))
     unknown = sorted(set(ids) - set(REGISTRY))
@@ -422,46 +454,13 @@ def run_campaign(theorem_ids: Iterable[str], corpus, k_range: Iterable[int],
     if any(k < 1 for k in ks):
         raise ValueError("k values must be >= 1")
 
-    verdicts = {tid: TheoremVerdict(tid, 0, 0, 0, []) for tid in ids}
-    per_graph = [tid for tid in ids if REGISTRY[tid].kind != "standalone"]
-    evs, targets = [REGISTRY[tid] for tid in per_graph], [verdicts[tid] for tid in per_graph]
-    interned: dict = {}
-    tally: dict = {}      # rows -> [graphs, whether the rows carry a violation, rows]
-    by_class: dict = {}   # class key -> its rows' tally entry
-    graphs = evaluated = 0
-    class_limit = getattr(corpus, "class_limit", CLASS_LIMIT)
-    if per_graph:
+    tally = Tally(ids, ks, getattr(corpus, "class_limit", CLASS_LIMIT))
+    if tally.per_graph:
         for g in corpus:
-            graphs += 1
-            key = labeled_class(g, class_limit)
-            entry = by_class.get(key)
-            if entry is None:
-                evaluated += 1
-                rows = _rows(evs, GraphFacts(g), ks, interned)
-                entry = tally.get(rows)
-                if entry is None:
-                    entry = tally[rows] = [0, any(bad for _, _, bad in rows), rows]
-                if key is not None:
-                    by_class[key] = entry
-            entry[0] += 1
-            if entry[1]:
-                _record(targets, entry[2], g)
-        for members, _, rows in tally.values():
-            _count(targets, rows, members)
-    for tid in ids:
-        ev = REGISTRY[tid]
-        if ev.kind == "standalone":
-            for g, row in ev.runner():
-                _tally([verdicts[tid]], (row,), g)
-        elif ev.supplements is not None:
-            for g in ev.supplements():
-                _tally([verdicts[tid]], _rows([ev], GraphFacts(g), ks, interned), g)
-
-    for v in verdicts.values():
-        v.violations.sort(key=_violation_key)
+            tally.add(g)
+    tally.add_constructed()
     spec_text = corpus_spec if corpus_spec is not None else getattr(corpus, "spec", "custom")
-    return CampaignReport(spec_text, ks, [verdicts[tid] for tid in sorted(verdicts)],
-                          graphs, evaluated)
+    return tally.report(spec_text)
 
 
 def replay_violation(theorem_id: str, graph6: str, k: int | None = None) -> Outcome:

@@ -28,6 +28,7 @@ LABELED_LIMIT = 7
 CLASS_LIMIT = 6
 TREE_EXHAUSTIVE_LIMIT = 10
 RANDOM_LIMIT = 16
+RANDOM_COUNT_LIMIT = 1_000_000   # a thousand times the reference campaign's random term
 
 _MASK64 = (1 << 64) - 1
 
@@ -380,12 +381,14 @@ def parse_corpus_spec(text: str, default_seed: int | None = None) -> Corpus:
 
     all_labeled(N)                            orders 1..N, exhaustive, N <= 7
     trees(<=N) or trees(N)                    class representatives, orders 2..N <= 10
-    random_connected(n=LO..HI,COUNT,seed=S[,p=P])   2 <= LO <= HI <= 16, 0 < P <= 1
+    random_connected(n=LO..HI,COUNT,seed=S[,p=P])   2 <= LO <= HI <= 16, 0 < P <= 1,
+                                              COUNT <= RANDOM_COUNT_LIMIT
     file(PATH)                                graph6 lines of at most GRAPH6_LINE_LIMIT bytes
 
     default_seed fills in for a random_connected term that omits seed=.  Every
-    bound is checked here, before any graph is built; a field given twice, or
-    a number that does not parse, is an error naming its term.
+    bound is checked here, before any graph is built, and a file() path opened
+    once; a field given twice, a number that does not parse, or a path that
+    cannot be read is an error naming its term.
     """
     parts = []
     for term in text.split("+"):
@@ -434,12 +437,18 @@ def parse_corpus_spec(text: str, default_seed: int | None = None) -> Corpus:
                 raise ValueError(f"random_connected needs n=, count, seed=: {term!r}")
             if hi < lo or count < 1:
                 raise ValueError(f"empty random_connected range: {term!r}")
+            if count > RANDOM_COUNT_LIMIT:
+                raise ValueError(f"random_connected needs COUNT <= {RANDOM_COUNT_LIMIT}: {term!r}")
             if lo < 2 or hi > RANDOM_LIMIT:
                 raise ValueError(f"random_connected needs 2 <= LO <= HI <= {RANDOM_LIMIT}: {term!r}")
             if not 0.0 < prob <= 1.0:
                 raise ValueError(f"random_connected needs 0 < p <= 1: {term!r}")
             parts.append(("random_connected", (lo, hi, count, seed, prob)))
         elif term.startswith("file(") and term.endswith(")"):
+            try:
+                open(term[5:-1], "rb").close()
+            except OSError as exc:
+                raise ValueError(f"cannot read {where}: {exc.strerror}") from None
             parts.append(("file", term[5:-1]))
         else:
             raise ValueError(f"cannot parse corpus term {term!r}")

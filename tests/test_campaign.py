@@ -9,7 +9,7 @@ import limpack.campaign as campaign_mod
 from limpack import Graph, build_from_spec, emit_graph6, profile
 from limpack.bounds import BOUNDS, Bound
 from limpack.campaign import (ALL_THEOREM_IDS, CAMPAIGN_ROWS, REGISTRY, SKIP, Evaluator,
-                              GraphFacts, Outcome, replay_violation, run_campaign)
+                              GraphFacts, Outcome, Tally, replay_violation, run_campaign)
 from limpack.corpus import (enumerate_labeled_graphs, labeled_class, parse_corpus_spec,
                             tree_classes_by_order)
 
@@ -434,6 +434,62 @@ def test_repeated_rows_without_class_key_match_graph_by_graph(monkeypatch):
         sorted([emit_graph6(g)] * 2 + [emit_graph6(relabeled)])
     assert {v["k"] for v in planted.violations} == {2}
     assert (report.graphs, report.classes_evaluated) == (4, 4)
+
+
+def _summed(a: dict, b: dict) -> dict:
+    """The reports of two parts of one campaign as one: counts added, violations joined."""
+    verdicts = []
+    for va, vb in zip(a["verdicts"], b["verdicts"], strict=True):
+        counts = {key: va[key] + vb[key]
+                  for key in ("graphs_checked", "substantive_checks", "positive_cases")}
+        found = sorted(va["violations"] + vb["violations"], key=campaign_mod._violation_key)
+        status = ("fail" if found else
+                  "vacuous" if counts["substantive_checks"] == 0 else "pass")
+        verdicts.append({"theorem_id": va["theorem_id"], "status": status, **counts,
+                         "violations": found})
+    return {**a, "verdicts": verdicts}
+
+
+def test_report_is_a_sum_over_any_split_of_the_corpus(monkeypatch):
+    # what shards of one corpus rely on: two tallies fed the two parts report counts
+    # and violations that add up to the whole's; the constructed graphs go to one part
+    monkeypatch.setitem(REGISTRY, "planted-per-k", Evaluator("per_k", fn=_four_edges))
+    ids, ks = (*ALL_THEOREM_IDS, "planted-per-k"), [1, 2, 3]
+    spec = "all_labeled(5)+trees(<=8)+random_connected(n=8..10,60,seed=7)"
+    graphs = list(parse_corpus_spec(spec))
+    whole = Tally(ids, ks)
+    for g in graphs:
+        whole.add(g)
+    whole.add_constructed()
+    want = whole.report(spec).as_dict()
+    assert want == run_campaign(ids, parse_corpus_spec(spec), ks).as_dict()
+    assert len(graphs) == 1099 + 47 + 60
+    assert sum(len(v["violations"]) for v in want["verdicts"]) == 3 * (15 + 210 + 3)
+    # cuts at both ends, inside a class, at each term's end and inside each term
+    for cut in (0, 1, 600, 1099, 1120, 1146, 1170, len(graphs)):
+        parts = Tally(ids, ks), Tally(ids, ks)
+        for g in graphs[:cut]:
+            parts[0].add(g)
+        for g in graphs[cut:]:
+            parts[1].add(g)
+        parts[cut % 2].add_constructed()
+        a, b = (t.report(spec) for t in parts)
+        assert _summed(a.as_dict(), b.as_dict()) == want, cut
+        assert a.graphs + b.graphs == whole.graphs
+
+
+def test_supplement_violation_recorded_under_its_own_graph6(monkeypatch):
+    # with no graph recognized as in class T, each of the 50 constructed members
+    # fails the characterization once, recorded under its own graph6
+    monkeypatch.setattr(campaign_mod, "recognize_class_T", lambda g: None)
+    report = run_campaign(["th-classT-characterization"], [], (2,))
+    (v,) = report.verdicts
+    supplements = REGISTRY["th-classT-characterization"].supplements()
+    assert (v.status, v.graphs_checked, len(v.violations)) == ("fail", 50, 50)
+    assert [r["graph6"] for r in v.violations] == sorted(map(emit_graph6, supplements))
+    assert {r["k"] for r in v.violations} == {None}
+    assert v.violations[0] == {"graph6": "A_", "k": None,
+                               "detail": "L_2=2 vs class-t=2 but structural test says False"}
 
 
 # ---------------------------------------------------------------------------

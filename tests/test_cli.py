@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from limpack import build_from_spec, campaign, cli, emit_graph6, parse_graph6, solvers
+from limpack import build_from_spec, campaign, cli, corpus, emit_graph6, parse_graph6, solvers
 from limpack.campaign import replay_violation
 from limpack.cli import main
 from limpack.corpus import enumerate_tree_classes, random_connected
@@ -490,6 +490,48 @@ def test_verify_file_corpus_bad_line_exits_2(tmp_path, capsys):
                        "--corpus", f"file({corpus})", "--k", "1")
     assert rc == 2 and out == ""
     assert err == f"error: {corpus} line 3: byte 33 outside graph6 range 63..126 (byte 1)\n"
+
+
+def test_verify_checks_a_file_term_when_parsed(tmp_path, capsys, monkeypatch):
+    # a path that cannot be read exits 2 naming its term before any graph is built,
+    # even behind the 2^21 graphs of all_labeled(7)
+    def refuse(n):
+        raise AssertionError("a graph was built before the file term was checked")
+
+    monkeypatch.setattr(corpus, "enumerate_labeled_graphs", refuse)
+    locked = tmp_path / "locked.g6"
+    locked.write_text("A_\n")
+
+    def open_as_unprivileged(path, *args):
+        # as root, open grants everything: raise what an unprivileged user gets
+        if path == str(locked):
+            raise PermissionError(13, "Permission denied", path)
+        return open(path, *args)
+
+    monkeypatch.setattr(corpus, "open", open_as_unprivileged, raising=False)
+    for term, why in [("file(/nonexistent/x.g6)", "No such file or directory"),
+                      ("file()", "No such file or directory"),
+                      (f"file({tmp_path})", "Is a directory"),
+                      (f"file({locked})", "Permission denied")]:
+        t0 = time.monotonic()
+        rc, out, err = run(capsys, "verify", "--theorems", "all",
+                           "--corpus", f"all_labeled(7)+{term}", "--k", "1")
+        assert time.monotonic() - t0 < 0.05, term
+        assert (rc, out, err) == (2, "", f"error: cannot read corpus term {term!r}: {why}\n")
+
+
+def test_verify_random_count_bounded_when_parsed(capsys):
+    # at 0.6-2 ms a graph, a count past the cap would run for days
+    assert corpus.RANDOM_COUNT_LIMIT == 1_000_000
+    for count in (1_000_001, 99999999999999999999):
+        term = f"random_connected(n=2..16,{count},seed=1)"
+        t0 = time.monotonic()
+        rc, out, err = run(capsys, "verify", "--theorems", "all", "--corpus", term, "--k", "1")
+        assert time.monotonic() - t0 < 0.05, term
+        assert (rc, out, err) == (2, "", f"error: random_connected needs COUNT <= 1000000: "
+                                         f"{term!r}\n")
+    assert corpus.parse_corpus_spec("random_connected(n=2..16,1000000,seed=1)")._parts == \
+        [("random_connected", (2, 16, 1_000_000, 1, 0.5))]
 
 
 def test_verify_stats_on_stderr_only(tmp_path, capsys):
